@@ -35,12 +35,27 @@ def _weight_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _nonneg_int_arg(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}") from exc
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {v}")
+    return v
+
+
 def _twists_arg(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        twists = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected lo..hi or one integer, got {text!r}") from exc
+    if not twists:
+        raise argparse.ArgumentTypeError(
+            f"empty twist range {text!r}; expected lo..hi with lo <= hi")
+    return twists
 
 
 def _cutoff_arg(text: str):
@@ -280,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     weyl_sub = p.add_subparsers(dest="action", required=True)
     q = weyl_sub.add_parser("dim", help="dimension of a GL(m) irreducible")
     q.add_argument("lam", type=_weight_arg)
-    q.add_argument("m", type=int)
+    q.add_argument("m", type=_nonneg_int_arg)
     q.set_defaults(func=_cmd_weyl)
 
     p = sub.add_parser("bwb", help="Bott cohomology of one bundle")
@@ -318,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     euler_sub = p.add_subparsers(dest="action", required=True)
     q = euler_sub.add_parser("compare", help="cross-side graded comparison")
     q.add_argument("--star", choices=data.WINDOW_NAMES, required=True)
-    q.add_argument("--max-l", type=int, default=8)
+    q.add_argument("--max-l", type=_nonneg_int_arg, default=8)
     q.add_argument("--json")
     q.set_defaults(func=_cmd_euler)
 

@@ -14,6 +14,7 @@ inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import ClassVar
 
@@ -97,10 +98,20 @@ Cohomology.ACYCLIC = Cohomology(None, None, 0)
 
 
 def bott(space: FlagVariety, concatenated: Weight) -> Cohomology:
-    """Apply the Bott algorithm to a length-n concatenated weight."""
+    """Apply the Bott algorithm to a length-n concatenated weight.
+
+    Results are memoized on ``(space, tuple(concatenated))`` and shared
+    between callers; a Cohomology is frozen.
+    """
+    if len(concatenated) != space.n:
+        raise ValueError(f"expected weight of length {space.n}, got {concatenated}")
+    return _bott(space, tuple(concatenated))
+
+
+@lru_cache(maxsize=4096)
+def _bott(space: FlagVariety, concatenated: Weight) -> Cohomology:
+    """bott on a canonical tuple of the right length, memoized."""
     n = space.n
-    if len(concatenated) != n:
-        raise ValueError(f"expected weight of length {n}, got {concatenated}")
     alpha = [concatenated[i] + (n - 1 - i) for i in range(n)]
     if len(set(alpha)) != n:
         return Cohomology.ACYCLIC
@@ -130,6 +141,17 @@ class HomogeneousBundle:
                 raise ValueError(f"block {b} should have length {s}")
         if self.mult <= 0:
             raise ValueError("multiplicity must be positive")
+
+    @classmethod
+    def _trusted(cls, space: FlagVariety, blocks: tuple[Weight, ...],
+                 mult: int) -> "HomogeneousBundle":
+        """Build from blocks and a multiplicity already known valid for `space`,
+        skipping the validation in __post_init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "mult", mult)
+        return self
 
     def rank(self) -> int:
         r = self.mult
@@ -173,7 +195,7 @@ class HomogeneousBundle:
             mult = self.mult * other.mult
             for _, c in combo:
                 mult *= c
-            out.append(HomogeneousBundle(self.space, blocks, mult))
+            out.append(HomogeneousBundle._trusted(self.space, blocks, mult))
         return BundleSum.of(self.space, out)
 
     def cohomology(self) -> Cohomology:
@@ -212,7 +234,7 @@ class BundleSum:
             if t.space != space:
                 raise ValueError("all terms must live on the same space")
             merged[t.key()] = merged.get(t.key(), 0) + t.mult
-        canon = tuple(HomogeneousBundle(space, blocks, mult)
+        canon = tuple(HomogeneousBundle._trusted(space, blocks, mult)
                       for blocks, mult in sorted(merged.items()))
         return cls(space, canon)
 

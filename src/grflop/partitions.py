@@ -7,6 +7,7 @@ lengths.  All arithmetic is exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 Weight = tuple[int, ...]
@@ -251,7 +252,16 @@ def gl_tensor(lam: Iterable[int], mu: Iterable[int], m: int) -> WeightedSum:
 
     Both weights are shifted to partitions, multiplied by the LR rule with
     shapes truncated to m rows, and shifted back.  Output weights have length m.
+    Results are memoized on ``(tuple(lam), tuple(mu), m)`` and shared between
+    callers; a WeightedSum has no mutators.
     """
+    return _gl_tensor(tuple(lam), tuple(mu), m)
+
+
+@lru_cache(maxsize=4096)
+def _gl_tensor(lam: tuple, mu: tuple, m: int) -> WeightedSum:
+    """gl_tensor on canonical tuples, memoized.  Exceptions are not cached, so
+    invalid input raises on every call."""
     lam_p = pad(as_weight(lam), m)
     mu_p = pad(as_weight(mu), m)
     a = max(0, -lam_p[-1]) if m else 0

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import Weight, as_weight
 
@@ -34,8 +34,57 @@ CHARACTERS: dict[str, tuple[int, int, int]] = {
     "minus": (1, 1, 1),
 }
 
-_PAIRS = tuple(combinations(range(3), 2))
-_ORDERED = tuple(permutations(range(3), 2))
+
+# The window inequalities of each side: (label, slot, form, width) reads
+# w[slot] <= form . chi < w[slot] + width.  Each Kempf-Ness stratum contributes
+# one family: the plus side constrains coordinate sums and entries, the minus
+# side the skewed combinations matched to its destabilizing one-parameter
+# subgroups.
+WINDOW_FORMS: dict[str, tuple[tuple[str, int, tuple[int, int, int], int], ...]] = {
+    "plus": (
+        ("a: sum", 0, (1, 1, 1), 15),
+        ("b: pair(1,2)", 1, (1, 1, 0), 8),
+        ("b: pair(1,3)", 1, (1, 0, 1), 8),
+        ("b: pair(2,3)", 1, (0, 1, 1), 8),
+        ("c: entry(1)", 2, (1, 0, 0), 3),
+        ("c: entry(2)", 2, (0, 1, 0), 3),
+        ("c: entry(3)", 2, (0, 0, 1), 3),
+    ),
+    "minus": (
+        ("a': -sum", 0, (-1, -1, -1), 15),
+        ("b': pair(1,2)", 1, (1, 1, -4), 10),
+        ("b': pair(1,3)", 1, (1, -4, 1), 10),
+        ("b': pair(2,3)", 1, (-4, 1, 1), 10),
+        ("c': (1,2)", 2, (1, -2, 0), 4),
+        ("c': (1,3)", 2, (1, 0, -2), 4),
+        ("c': (2,1)", 2, (-2, 1, 0), 4),
+        ("c': (2,3)", 2, (0, 1, -2), 4),
+        ("c': (3,1)", 2, (-2, 0, 1), 4),
+        ("c': (3,2)", 2, (0, -2, 1), 4),
+    ),
+}
+
+
+def _window(w: Sequence[int], side: str) -> tuple[tuple[str, tuple[int, int, int], int, int], ...]:
+    """The inequalities of one window as (label, form, lo, hi): lo <= form . chi < hi.
+
+    The single place a side is validated; hl_membership and hl_enumerate both
+    read their inequalities from here.
+    """
+    forms = WINDOW_FORMS.get(side)
+    if forms is None:
+        raise ValueError("side must be 'plus' or 'minus'")
+    return tuple((label, form, w[slot], w[slot] + width)
+                 for label, slot, form, width in forms)
+
+
+def _in_window(chi: Weight, window) -> bool:
+    """Whether a trusted length-3 weight satisfies every inequality of `window`."""
+    a, b, c = chi
+    for _, (x, y, z), lo, hi in window:
+        if not lo <= x * a + y * b + z * c < hi:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -47,76 +96,56 @@ class Membership:
 def hl_membership(chi: Iterable[int], w: Sequence[int], side: str) -> Membership:
     """Test the graded-restriction window conditions for a dominant weight.
 
-    Each Kempf-Ness stratum contributes one family of inequalities; the plus
-    side constrains coordinate sums and entries, the minus side the skewed
-    combinations matched to its destabilizing one-parameter subgroups.
+    The conditions are the inequalities of WINDOW_FORMS[side]; each one that
+    fails is reported with its label, its value and its range.
     """
     chi = as_weight(chi)
     if len(chi) != 3:
         raise ValueError("chi must have length 3")
     w0, w1, w2 = (int(x) for x in w)
-    failed: list[str] = []
-    if side == "plus":
-        s = sum(chi)
-        if not w0 <= s < w0 + 15:
-            failed.append(f"a: sum {s} not in [{w0},{w0 + 15})")
-        for i, j in _PAIRS:
-            v = chi[i] + chi[j]
-            if not w1 <= v < w1 + 8:
-                failed.append(f"b: pair({i + 1},{j + 1}) {v} not in [{w1},{w1 + 8})")
-        for i in range(3):
-            if not w2 <= chi[i] < w2 + 3:
-                failed.append(f"c: entry({i + 1}) {chi[i]} not in [{w2},{w2 + 3})")
-    elif side == "minus":
-        s = -sum(chi)
-        if not w0 <= s < w0 + 15:
-            failed.append(f"a': -sum {s} not in [{w0},{w0 + 15})")
-        for i, j in _PAIRS:
-            k = 3 - i - j
-            v = chi[i] + chi[j] - 4 * chi[k]
-            if not w1 <= v < w1 + 10:
-                failed.append(f"b': pair({i + 1},{j + 1}) {v} not in [{w1},{w1 + 10})")
-        for i, k in _ORDERED:
-            v = chi[i] - 2 * chi[k]
-            if not w2 <= v < w2 + 4:
-                failed.append(f"c': ({i + 1},{k + 1}) {v} not in [{w2},{w2 + 4})")
-    else:
-        raise ValueError("side must be 'plus' or 'minus'")
+    failed = []
+    for label, (x, y, z), lo, hi in _window((w0, w1, w2), side):
+        v = x * chi[0] + y * chi[1] + z * chi[2]
+        if not lo <= v < hi:
+            failed.append(f"{label} {v} not in [{lo},{hi})")
     return Membership(not failed, tuple(failed))
+
+
+def _candidates(w: tuple[int, int, int], side: str) -> Iterator[Weight]:
+    """The finite box of dominant weights hl_enumerate scans for one window of
+    a side already validated.
+
+    On the plus side each entry is pinned to three consecutive integers.  On
+    the minus side the entry conditions force chi_1 + chi_3 into a window of
+    width six and chi_1 - chi_3 <= 3.
+    """
+    w2 = w[2]
+    if side == "plus":
+        for a in range(w2, w2 + 3):
+            for b in range(w2, a + 1):
+                for c in range(w2, b + 1):
+                    yield (a, b, c)
+        return
+    for s in range(-2 * w2 - 6, -2 * w2 + 1):
+        for d in range(0, 4):
+            if (s + d) % 2:
+                continue
+            a = (s + d) // 2
+            c = (s - d) // 2
+            for b in range(c, a + 1):
+                yield (a, b, c)
 
 
 def hl_enumerate(w: Sequence[int], side: str) -> tuple[Weight, ...]:
     """All dominant weights in the window, by brute force over a finite box.
 
-    On the plus side each entry is pinned to three consecutive integers.  On
-    the minus side the entry conditions force chi_1 + chi_3 into a window of
-    width six and chi_1 - chi_3 <= 3; the box is scanned and filtered through
-    hl_membership, so the structural bound is checked rather than assumed.
+    The box (see _candidates) is scanned and filtered through every window
+    inequality, so the structural bound is checked rather than assumed.
     """
     w0, w1, w2 = (int(x) for x in w)
-    out = []
-    if side == "plus":
-        lo, hi = w2, w2 + 2
-        for a in range(lo, hi + 1):
-            for b in range(lo, a + 1):
-                for c in range(lo, b + 1):
-                    chi = (a, b, c)
-                    if hl_membership(chi, w, side).member:
-                        out.append(chi)
-    elif side == "minus":
-        for s in range(-2 * w2 - 6, -2 * w2 + 1):
-            for d in range(0, 4):
-                if (s + d) % 2:
-                    continue
-                a = (s + d) // 2
-                c = (s - d) // 2
-                for b in range(c, a + 1):
-                    chi = (a, b, c)
-                    if hl_membership(chi, w, side).member:
-                        out.append(chi)
-    else:
-        raise ValueError("side must be 'plus' or 'minus'")
-    return tuple(sorted(set(out)))
+    w = (w0, w1, w2)
+    window = _window(w, side)
+    return tuple(sorted({chi for chi in _candidates(w, side) if _in_window(chi, window)}))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ graded Euler comparison, and report determinism.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import data
@@ -23,24 +21,6 @@ from .homog import GR25, line_bundle, structure_sheaf
 from .report import Report
 from .stability import ConeProblem, hl_enumerate, kn_adapted, kn_stratification
 from .total_space import XPLUS, is_pretilting, stable_cutoff
-
-
-def thread_count() -> int:
-    raw = os.environ.get("GRFLOP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_all(jobs):
-    """Run zero-argument callables, preserving order; threads per GRFLOP_THREADS."""
-    n = thread_count()
-    if n <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 def _check_tilting(report: Report) -> None:
@@ -122,8 +102,8 @@ def _check_kempf_ness(report: Report) -> None:
 
 
 def _check_euler(report: Report) -> None:
-    jobs = [lambda s=star: euler_cross_check(s, 8) for star in data.WINDOW_NAMES]
-    for result in _run_all(jobs):
+    for star in data.WINDOW_NAMES:
+        result = euler_cross_check(star, 8)
         report.add_bool(f"euler-cross-{result['star']}",
                         result["equal"] and not result["plus_has_higher"], result)
 

@@ -105,6 +105,19 @@ class TestExitCodes:
                      "--right", "o", "--cutoff", "0"]) == EXIT_USAGE
         assert "unknown set" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, names", [
+        (["collections", "resolve", "--name", "lascoux-1", "--twists=3..1"], "--twists"),
+        (["euler", "compare", "--star", "spade", "--max-l", "-1"], "--max-l"),
+        (["weyl", "dim", "1,0", "-1"], "argument m: must be nonnegative"),
+    ])
+    def test_bad_argument_names_itself(self, argv, names, capsys):
+        """Out-of-range arguments are usage errors naming the argument, not
+        tracebacks (exit 1) or an error from deeper in the program."""
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert names in capsys.readouterr().err
+
     def test_check_failure_exit(self, capsys, monkeypatch):
         corrupted = dict(grflop.data.WINDOW_WEIGHTS)
         corrupted["spade"] = corrupted["spade"][:-1] + ((-5, -5, -5),)

@@ -1,11 +1,14 @@
 """Bundle algebra and Bott cohomology tests."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop.homog import (FL235, GR25, GR35, BundleSum, FlagVariety,
-                          HomogeneousBundle, line_bundle, schur_sub_dual,
+                          HomogeneousBundle, bott, line_bundle, schur_sub_dual,
                           structure_sheaf)
+from grflop.homog import _bott
 from grflop.partitions import weyl_dim
 
 
@@ -97,6 +100,14 @@ class TestBundleBasics:
     def test_tensor_commutes(self, e, f):
         assert e.tensor(f) == f.tensor(e)
 
+    @given(bundles_on(FL235), bundles_on(FL235))
+    @settings(max_examples=50, deadline=None)
+    def test_tensor_terms_pass_validation(self, e, f):
+        """Terms built without re-validation equal their validated rebuilds."""
+        for t in e.tensor(f):
+            rebuilt = HomogeneousBundle(t.space, t.blocks, t.mult)
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+
 
 class TestBott:
     def test_structure_sheaf(self):
@@ -134,6 +145,27 @@ class TestBott:
             on_flag = structure_sheaf(FL235).twist(a, "H3").cohomology()
             on_gr = line_bundle(GR35, a).cohomology()
             assert on_flag == on_gr
+
+    @pytest.mark.parametrize("space", [GR25, GR35, FL235], ids=str)
+    def test_memo_matches_uncached(self, space):
+        """Every concatenated weight with block entries in [-2, 2]: bott, called
+        twice and with a list, equals the uncached algorithm."""
+        blocks = [combinations_with_replacement(range(2, -3, -1), s)
+                  for s in space.block_sizes()]
+        for combo in product(*blocks):
+            weight = sum(combo, ())
+            expected = _bott.__wrapped__(space, weight)
+            assert bott(space, weight) == expected
+            assert bott(space, weight) == expected
+            assert bott(space, list(weight)) == expected
+
+    def test_wrong_length_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="expected weight of length 5"):
+                bott(GR25, (0, 0, 0, 0))
+
+    def test_memo_is_bounded(self):
+        assert _bott.cache_info().maxsize == 4096
 
     @given(bundles_on(GR25))
     @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from grflop.partitions import (WeightedSum, as_partition, gl_tensor,
                                lr_coefficient, lr_mult, shift, weyl_dim)
+from grflop.partitions import _gl_tensor
 
 
 def brute_lr_coefficient(nu, lam, mu):
@@ -168,6 +169,24 @@ class TestGLTensor:
     def test_rejects_overlong(self):
         with pytest.raises(ValueError):
             gl_tensor((1, 0, 0), (1, 0), 2)
+
+    def test_list_and_tuple_inputs_agree(self):
+        assert gl_tensor([0, 0, -1], [1, 0, 0], 3) == gl_tensor((0, 0, -1), (1, 0, 0), 3)
+        assert expand(gl_tensor([2, 1], (1, 1), 2)) == {(3, 2): 1}
+
+    @pytest.mark.parametrize("lam, mu, m", [
+        ((1, 0, 0), (1, 0), 2),     # too long
+        ((0, 1), (0, 0), 2),        # not weakly decreasing
+        ((0, -1), (0,), 3),         # cannot zero-pad a negative last entry
+    ])
+    def test_invalid_input_raises_on_every_call(self, lam, mu, m):
+        """The memo caches results, not exceptions."""
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gl_tensor(lam, mu, m)
+
+    def test_memo_is_bounded(self):
+        assert _gl_tensor.cache_info().maxsize == 4096
 
     @given(st.integers(min_value=1, max_value=5), st.data())
     @settings(max_examples=1000, deadline=None)

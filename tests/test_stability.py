@@ -1,6 +1,7 @@
 """Window enumeration and the exact Kempf-Ness solver."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from grflop import data
 from grflop.stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem,
                               KNSolution, hl_enumerate, hl_membership,
                               kn_adapted, kn_stratification)
+from grflop.stability import _candidates, _in_window, _window
 
 
 class TestMembership:
@@ -30,6 +32,19 @@ class TestMembership:
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             hl_membership((0, 1, 0), (0, 0, 0), "plus")
+
+    def test_failure_texts(self):
+        """Each failed inequality is named with its value and its range, in
+        table order."""
+        assert hl_membership((2, 2, 2), (-7, -4, -1), "plus").failed == (
+            "b: pair(1,2) 4 not in [-4,4)", "b: pair(1,3) 4 not in [-4,4)",
+            "b: pair(2,3) 4 not in [-4,4)", "c: entry(1) 2 not in [-1,2)",
+            "c: entry(2) 2 not in [-1,2)", "c: entry(3) 2 not in [-1,2)")
+        assert hl_membership((3, 0, -1), (-7, -5, -2), "minus").failed == (
+            "b': pair(1,2) 7 not in [-5,5)", "b': pair(2,3) -13 not in [-5,5)",
+            "c': (1,2) 3 not in [-2,2)", "c': (1,3) 5 not in [-2,2)",
+            "c': (2,1) -6 not in [-2,2)", "c': (2,3) 2 not in [-2,2)",
+            "c': (3,1) -7 not in [-2,2)")
 
 
 class TestEnumerate:
@@ -62,6 +77,15 @@ class TestEnumerate:
                 for b in range(c, a + 1):
                     chi = (a, b, c)
                     assert (chi in members) == hl_membership(chi, w, "minus").member
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_predicate_matches_membership(self, side):
+        """The boolean predicate hl_enumerate filters with agrees with
+        hl_membership on every weight it scans, for every w in [-10,10]^3."""
+        for w in product(range(-10, 11), repeat=3):
+            window = _window(w, side)
+            for chi in _candidates(w, side):
+                assert _in_window(chi, window) == hl_membership(chi, w, side).member
 
     def test_size_bound_over_box(self):
         worst = 0
