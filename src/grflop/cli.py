@@ -27,12 +27,24 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# `weyl dim` takes O(m^2) big-integer products, so a larger m is refused as a
+# usage error instead of running for minutes.
+WEYL_MAX_M = 100
+
 
 def _weight_arg(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _window_w_arg(text: str) -> tuple[int, int, int]:
+    w = _weight_arg(text)
+    if len(w) != 3:
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated integers w0,w1,w2, got {text!r}")
+    return w
 
 
 def _nonneg_int_arg(text: str) -> int:
@@ -43,6 +55,13 @@ def _nonneg_int_arg(text: str) -> int:
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {v}")
     return v
+
+
+def _weyl_m_arg(text: str) -> int:
+    m = _nonneg_int_arg(text)
+    if m > WEYL_MAX_M:
+        raise argparse.ArgumentTypeError(f"must be at most {WEYL_MAX_M}, got {m}")
+    return m
 
 
 def _twists_arg(text: str) -> range:
@@ -295,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     weyl_sub = p.add_subparsers(dest="action", required=True)
     q = weyl_sub.add_parser("dim", help="dimension of a GL(m) irreducible")
     q.add_argument("lam", type=_weight_arg)
-    q.add_argument("m", type=_nonneg_int_arg)
+    q.add_argument("m", type=_weyl_m_arg, help=f"the rank of GL(m), at most {WEYL_MAX_M}")
     q.set_defaults(func=_cmd_weyl)
 
     p = sub.add_parser("bwb", help="Bott cohomology of one bundle")
@@ -341,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     win_sub = p.add_subparsers(dest="action", required=True)
     q = win_sub.add_parser("enumerate", help="all weights of a window")
     q.add_argument("--side", choices=("plus", "minus"), required=True)
-    q.add_argument("--w", type=_weight_arg, required=True, help="w0,w1,w2")
+    q.add_argument("--w", type=_window_w_arg, required=True, help="w0,w1,w2")
     q.add_argument("--json")
     q.set_defaults(func=_cmd_windows)
     q = win_sub.add_parser("member", help="membership of one weight")
     q.add_argument("--chi", type=_weight_arg, required=True)
     q.add_argument("--side", choices=("plus", "minus"), required=True)
-    q.add_argument("--w", type=_weight_arg, required=True)
+    q.add_argument("--w", type=_window_w_arg, required=True, help="w0,w1,w2")
     q.add_argument("--json")
     q.set_defaults(func=_cmd_windows)
 

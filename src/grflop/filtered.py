@@ -222,23 +222,24 @@ def graded_euler(left, right, max_l: int = 8,
 
     chi_l sums, over source pieces p (offset op) and target pieces q (offset
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
+    Since (x) distributes over direct sums and the signed sum is additive,
+    the products dual(p) (x) q are first merged by shift d = oq - op into one
+    sum S_d, and chi_l = sum over d with l + d >= 0 of chi(S_d (x) term(l + d)).
     """
     lhs = _as_pieces(left)
     rhs = _as_pieces(right)
     for p, _ in lhs + rhs:
         if p.space != model.base:
             raise ValueError(f"pieces must live on {model.base}")
-    values = []
-    products = [(op, oq, p.dual().tensor(q)) for p, op in lhs for q, oq in rhs]
-    for l in range(max_l + 1):
-        total = 0
-        for op, oq, prod in products:
-            t = l - op + oq
-            if t < 0:
-                continue
-            total += prod.tensor(model.term(t)).signed_euler()
-        values.append(total)
-    return GradedEuler(tuple(values))
+    by_shift: dict[int, list[HomogeneousBundle]] = {}
+    for p, op in lhs:
+        dual = p.dual()
+        for q, oq in rhs:
+            by_shift.setdefault(oq - op, []).extend(dual.tensor(q).terms)
+    sums = [(d, BundleSum.of(model.base, terms)) for d, terms in by_shift.items()]
+    return GradedEuler(tuple(
+        sum(s.tensor(model.term(l + d)).signed_euler() for d, s in sums if l + d >= 0)
+        for l in range(max_l + 1)))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -65,8 +66,10 @@ WINDOW_FORMS: dict[str, tuple[tuple[str, int, tuple[int, int, int], int], ...]] 
 }
 
 
-def _window(w: Sequence[int], side: str) -> tuple[tuple[str, tuple[int, int, int], int, int], ...]:
-    """The inequalities of one window as (label, form, lo, hi): lo <= form . chi < hi.
+def _window(w: Sequence[int], side: str, slots: Sequence[int] = (0, 1, 2)
+            ) -> tuple[tuple[str, tuple[int, int, int], int, int], ...]:
+    """The inequalities of one window as (label, form, lo, hi): lo <= form . chi < hi,
+    restricted to the forms whose slot is in `slots`.
 
     The single place a side is validated; hl_membership and hl_enumerate both
     read their inequalities from here.
@@ -75,7 +78,15 @@ def _window(w: Sequence[int], side: str) -> tuple[tuple[str, tuple[int, int, int
     if forms is None:
         raise ValueError("side must be 'plus' or 'minus'")
     return tuple((label, form, w[slot], w[slot] + width)
-                 for label, slot, form, width in forms)
+                 for label, slot, form, width in forms if slot in slots)
+
+
+def _window_offsets(w: Iterable[int]) -> tuple[int, int, int]:
+    """w as a tuple of three ints; the length is checked, not left to unpacking."""
+    w = tuple(int(x) for x in w)
+    if len(w) != 3:
+        raise ValueError("w must have length 3")
+    return w
 
 
 def _in_window(chi: Weight, window) -> bool:
@@ -102,9 +113,8 @@ def hl_membership(chi: Iterable[int], w: Sequence[int], side: str) -> Membership
     chi = as_weight(chi)
     if len(chi) != 3:
         raise ValueError("chi must have length 3")
-    w0, w1, w2 = (int(x) for x in w)
     failed = []
-    for label, (x, y, z), lo, hi in _window((w0, w1, w2), side):
+    for label, (x, y, z), lo, hi in _window(_window_offsets(w), side):
         v = x * chi[0] + y * chi[1] + z * chi[2]
         if not lo <= v < hi:
             failed.append(f"{label} {v} not in [{lo},{hi})")
@@ -136,16 +146,26 @@ def _candidates(w: tuple[int, int, int], side: str) -> Iterator[Weight]:
                 yield (a, b, c)
 
 
+@lru_cache(maxsize=4096)
+def _slot2_members(side: str, w2: int) -> tuple[Weight, ...]:
+    """The sorted weights of the _candidates box that satisfy the slot-2
+    inequalities of a side already validated.  Both depend on w[2] alone."""
+    w = (0, 0, w2)
+    window = _window(w, side, (2,))
+    return tuple(sorted({chi for chi in _candidates(w, side) if _in_window(chi, window)}))
+
+
 def hl_enumerate(w: Sequence[int], side: str) -> tuple[Weight, ...]:
     """All dominant weights in the window, by brute force over a finite box.
 
     The box (see _candidates) is scanned and filtered through every window
-    inequality, so the structural bound is checked rather than assumed.
+    inequality, so the structural bound is checked rather than assumed.  The
+    box and its slot-2 filter are memoized per (side, w[2]) in _slot2_members;
+    the slot-0 and slot-1 inequalities are applied on every call.
     """
-    w0, w1, w2 = (int(x) for x in w)
-    w = (w0, w1, w2)
-    window = _window(w, side)
-    return tuple(sorted({chi for chi in _candidates(w, side) if _in_window(chi, window)}))
+    w = _window_offsets(w)
+    window = _window(w, side, (0, 1))
+    return tuple(chi for chi in _slot2_members(side, w[2]) if _in_window(chi, window))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 """CLI behavior: subcommands, exit codes, bundle-set files and report JSON."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
-from grflop.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from grflop.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, WEYL_MAX_M, main
 from grflop.homog import GR35
 from grflop.report import Report
 
@@ -109,6 +115,10 @@ class TestExitCodes:
         (["collections", "resolve", "--name", "lascoux-1", "--twists=3..1"], "--twists"),
         (["euler", "compare", "--star", "spade", "--max-l", "-1"], "--max-l"),
         (["weyl", "dim", "1,0", "-1"], "argument m: must be nonnegative"),
+        (["windows", "enumerate", "--side", "plus", "--w=1,2"],
+         "argument --w: expected three comma-separated integers"),
+        (["windows", "member", "--chi", "1,1,1", "--side", "minus", "--w=1,2,3,4"],
+         "argument --w: expected three comma-separated integers"),
     ])
     def test_bad_argument_names_itself(self, argv, names, capsys):
         """Out-of-range arguments are usage errors naming the argument, not
@@ -117,6 +127,22 @@ class TestExitCodes:
             main(argv)
         assert err.value.code == EXIT_USAGE
         assert names in capsys.readouterr().err
+
+    def test_weyl_dim_refuses_large_m_before_computing(self, capsys, monkeypatch):
+        """An m past WEYL_MAX_M is a usage error raised before weyl_dim runs."""
+        def never(*args):
+            pytest.fail("weyl_dim was called")
+        monkeypatch.setattr(grflop.cli, "weyl_dim", never)
+        with pytest.raises(SystemExit) as err:
+            main(["weyl", "dim", "1,0", "100000"])
+        assert err.value.code == EXIT_USAGE
+        assert f"argument m: must be at most {WEYL_MAX_M}, got 100000" in \
+            capsys.readouterr().err
+
+    def test_weyl_dim_help_names_the_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["weyl", "dim", "--help"])
+        assert f"at most {WEYL_MAX_M}" in capsys.readouterr().out
 
     def test_check_failure_exit(self, capsys, monkeypatch):
         corrupted = dict(grflop.data.WINDOW_WEIGHTS)
@@ -199,6 +225,21 @@ class TestReports:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, schema)
         assert payload["summary"]["fail"] == 0
+
+    def test_verify_all_bytes_across_hash_seeds(self, tmp_path):
+        """verify-all --json writes the same bytes in fresh processes under
+        different hash seeds, and those bytes are the pinned report."""
+        src = str(Path(grflop.cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reports = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"verify-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-m", "grflop.cli", "verify-all", "--json", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert hashlib.md5(reports[0]).hexdigest() == "fa9f08ecafeb9362091ad9db3fdd32c2"
 
     def test_fraction_encoding(self, tmp_path):
         out = tmp_path / "kn.json"

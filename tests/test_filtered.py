@@ -2,12 +2,13 @@
 
 import pytest
 
-from grflop.filtered import (FilteredBundle, core_extension, euler_cross_check,
-                             graded_euler, schur_filtered, vanishing_suite,
-                             window_bundle)
-from grflop.homog import GR25, structure_sheaf
+from grflop.filtered import (FilteredBundle, _as_pieces, core_extension,
+                             euler_cross_check, graded_euler, schur_filtered,
+                             vanishing_suite, window_bundle)
+from grflop.homog import (GR25, BundleSum, line_bundle, schur_sub_dual,
+                          structure_sheaf)
 from grflop.partitions import weyl_dim
-from grflop.total_space import XPLUS
+from grflop.total_space import XMINUS, XPLUS, TotalSpaceModel
 from grflop import data
 
 
@@ -101,6 +102,62 @@ class TestGradedEuler:
         with pytest.raises(ValueError):
             graded_euler(structure_sheaf(GR25), structure_sheaf(GR25), 0,
                          model=XPLUS)
+
+
+def graded_euler_per_pair(left, right, max_l, model=XMINUS):
+    """Reference for graded_euler: every source/target piece pair tensored
+    with term(l - op + oq) on its own, with no merging by shift."""
+    products = [(op, oq, p.dual().tensor(q))
+                for p, op in _as_pieces(left) for q, oq in _as_pieces(right)]
+    values = []
+    for l in range(max_l + 1):
+        total = 0
+        for op, oq, prod in products:
+            t = l - op + oq
+            if t < 0:
+                continue
+            total += prod.tensor(model.term(t)).signed_euler()
+        values.append(total)
+    return tuple(values)
+
+
+class TestGradedEulerOracle:
+    """graded_euler, merged by shift, against the per-pair reference."""
+
+    @pytest.mark.parametrize("star", data.WINDOW_NAMES)
+    def test_minus_windows(self, star):
+        minus = list(window_bundle("minus", star))
+        assert graded_euler(minus, minus, 8).values == \
+            graded_euler_per_pair(minus, minus, 8)
+
+    def test_refined_inputs(self):
+        p = schur_filtered((2, 1, 0))
+        q = schur_filtered((1, 0, -1))
+        for left, right in [(p.refined(), q.refined()), (p.refined(), q),
+                            (q, p.refined())]:
+            assert graded_euler(left, right, 5).values == \
+                graded_euler_per_pair(left, right, 5)
+
+    def test_mixed_inputs(self):
+        left = [structure_sheaf(GR25), core_extension(),
+                BundleSum.of(GR25, [line_bundle(GR25, -1), schur_sub_dual(GR25, (1, 0))])]
+        right = [schur_filtered((2, 0, 0)), line_bundle(GR25, 1)]
+        for a, b in [(left, right), (right, left)]:
+            assert graded_euler(a, b, 4).values == graded_euler_per_pair(a, b, 4)
+
+    def test_custom_table(self):
+        """Inside the table the values agree; past its last term both raise
+        the same error."""
+        model = TotalSpaceModel("table3", GR25, tuple(XMINUS.term(l) for l in range(3)))
+        e = core_extension()
+        assert graded_euler(e, e, 1, model).values == \
+            graded_euler_per_pair(e, e, 1, model)
+        with pytest.raises(ValueError) as merged:
+            graded_euler(e, e, 2, model)
+        with pytest.raises(ValueError) as per_pair:
+            graded_euler_per_pair(e, e, 2, model)
+        assert str(merged.value) == str(per_pair.value) == \
+            "model 'table3' has terms up to 2"
 
 
 class TestWindowBundles:

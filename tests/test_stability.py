@@ -10,7 +10,7 @@ from grflop import data
 from grflop.stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem,
                               KNSolution, hl_enumerate, hl_membership,
                               kn_adapted, kn_stratification)
-from grflop.stability import _candidates, _in_window, _window
+from grflop.stability import _candidates, _in_window, _slot2_members, _window
 
 
 class TestMembership:
@@ -32,6 +32,11 @@ class TestMembership:
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             hl_membership((0, 1, 0), (0, 0, 0), "plus")
+
+    @pytest.mark.parametrize("w", [(0, 0), (0, 0, 0, 0)])
+    def test_rejects_w_of_wrong_length(self, w):
+        with pytest.raises(ValueError, match="w must have length 3"):
+            hl_membership((0, 0, 0), w, "plus")
 
     def test_failure_texts(self):
         """Each failed inequality is named with its value and its range, in
@@ -61,6 +66,14 @@ class TestEnumerate:
     def test_minus_origin_small(self):
         assert len(hl_enumerate((0, 0, 0), "minus")) <= 6
 
+    @pytest.mark.parametrize("w", [(0, 0), (0, 0, 0, 0)])
+    def test_rejects_w_of_wrong_length(self, w):
+        with pytest.raises(ValueError, match="w must have length 3"):
+            hl_enumerate(w, "minus")
+
+    def test_memo_is_bounded(self):
+        assert _slot2_members.cache_info().maxsize == 4096
+
     @given(st.tuples(st.integers(-10, 10), st.integers(-10, 10),
                      st.integers(-10, 10)))
     @settings(max_examples=400, deadline=None)
@@ -81,11 +94,15 @@ class TestEnumerate:
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_predicate_matches_membership(self, side):
         """The boolean predicate hl_enumerate filters with agrees with
-        hl_membership on every weight it scans, for every w in [-10,10]^3."""
+        hl_membership on every weight it scans, and hl_enumerate, memoized
+        per w[2], equals the box filtered through the whole window, for every
+        w in [-10,10]^3."""
         for w in product(range(-10, 11), repeat=3):
             window = _window(w, side)
             for chi in _candidates(w, side):
                 assert _in_window(chi, window) == hl_membership(chi, w, side).member
+            assert hl_enumerate(w, side) == tuple(sorted(
+                {chi for chi in _candidates(w, side) if _in_window(chi, window)}))
 
     def test_size_bound_over_box(self):
         worst = 0
