@@ -30,6 +30,10 @@ EXIT_USAGE = 2
 # `weyl dim` takes O(m^2) big-integer products, so a larger m is refused as a
 # usage error instead of running for minutes.
 WEYL_MAX_M = 100
+# `ext-total --cutoff` and `euler compare --max-l` compute one tensor product
+# per fiber level up to this bound, each costlier than the last: level 100
+# takes about a second, level 400 several.
+LEVEL_MAX = 100
 
 
 def _weight_arg(text: str) -> tuple[int, ...]:
@@ -54,6 +58,13 @@ def _nonneg_int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}") from exc
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {v}")
+    return v
+
+
+def _level_arg(text: str) -> int:
+    v = _nonneg_int_arg(text)
+    if v > LEVEL_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {LEVEL_MAX}, got {v}")
     return v
 
 
@@ -86,6 +97,8 @@ def _cutoff_arg(text: str):
         raise argparse.ArgumentTypeError("cutoff must be 'auto' or an integer") from exc
     if v < 0:
         raise argparse.ArgumentTypeError("cutoff must be nonnegative")
+    if v > LEVEL_MAX:
+        raise argparse.ArgumentTypeError(f"cutoff must be at most {LEVEL_MAX}, got {v}")
     return v
 
 
@@ -329,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=sorted(MODELS), required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--cutoff", type=_cutoff_arg, default="auto")
+    p.add_argument("--cutoff", type=_cutoff_arg, default="auto",
+                   help=f"'auto' or the last fiber level, at most {LEVEL_MAX}")
     p.add_argument("--sets", help="bundle-set file defining named sums")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_ext_total)
@@ -352,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     euler_sub = p.add_subparsers(dest="action", required=True)
     q = euler_sub.add_parser("compare", help="cross-side graded comparison")
     q.add_argument("--star", choices=data.WINDOW_NAMES, required=True)
-    q.add_argument("--max-l", type=_nonneg_int_arg, default=8)
+    q.add_argument("--max-l", type=_level_arg, default=8,
+                   help=f"the last fiber level, at most {LEVEL_MAX}")
     q.add_argument("--json")
     q.set_defaults(func=_cmd_euler)
 

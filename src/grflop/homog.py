@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import ClassVar
 
 from .partitions import Weight, as_weight, gl_tensor, pad, weyl_dim
@@ -182,21 +183,9 @@ class HomogeneousBundle:
         return HomogeneousBundle(self.space, blocks, self.mult)
 
     def tensor(self, other) -> "BundleSum":
-        if isinstance(other, BundleSum):
-            return BundleSum.of(self.space, [self]).tensor(other)
-        if self.space != other.space:
+        if isinstance(other, HomogeneousBundle) and self.space != other.space:
             raise ValueError("cannot tensor bundles on different spaces")
-        sizes = self.space.block_sizes()
-        per_block = [gl_tensor(a, b, s)
-                     for a, b, s in zip(self.blocks, other.blocks, sizes)]
-        out = []
-        for combo in product(*(list(ws.items()) for ws in per_block)):
-            blocks = tuple(w for w, _ in combo)
-            mult = self.mult * other.mult
-            for _, c in combo:
-                mult *= c
-            out.append(HomogeneousBundle._trusted(self.space, blocks, mult))
-        return BundleSum.of(self.space, out)
+        return BundleSum(self.space, (self,)).tensor(other)
 
     def cohomology(self) -> Cohomology:
         """Bott cohomology of the underlying irreducible (multiplicity not folded in)."""
@@ -234,9 +223,15 @@ class BundleSum:
             if t.space != space:
                 raise ValueError("all terms must live on the same space")
             merged[t.key()] = merged.get(t.key(), 0) + t.mult
-        canon = tuple(HomogeneousBundle._trusted(space, blocks, mult)
-                      for blocks, mult in sorted(merged.items()))
-        return cls(space, canon)
+        return cls._canonical(space, merged)
+
+    @classmethod
+    def _canonical(cls, space: FlagVariety,
+                   merged: dict[tuple[Weight, ...], int]) -> "BundleSum":
+        """The sum of a table mapping blocks valid on `space` to positive
+        multiplicities, in sorted order."""
+        return cls(space, tuple(HomogeneousBundle._trusted(space, blocks, mult)
+                                for blocks, mult in sorted(merged.items())))
 
     def __iter__(self):
         return iter(self.terms)
@@ -259,15 +254,22 @@ class BundleSum:
         return BundleSum.of(self.space, [t.twist(a, generator) for t in self.terms])
 
     def tensor(self, other) -> "BundleSum":
-        if isinstance(other, HomogeneousBundle):
-            other = BundleSum.of(other.space, [other])
+        """One pass: every term pair's per-block GL products, multiplied out and
+        merged into one table, canonicalized once."""
         if self.space != other.space:
             raise ValueError("cannot tensor sums on different spaces")
-        out: list[HomogeneousBundle] = []
+        others = (other,) if isinstance(other, HomogeneousBundle) else other.terms
+        sizes = self.space.block_sizes()
+        merged: dict[tuple[Weight, ...], int] = {}
         for a in self.terms:
-            for b in other.terms:
-                out.extend(a.tensor(b).terms)
-        return BundleSum.of(self.space, out)
+            for b in others:
+                per_block = [gl_tensor(x, y, s).items()
+                             for x, y, s in zip(a.blocks, b.blocks, sizes)]
+                for combo in product(*per_block):
+                    blocks, coeffs = zip(*combo)
+                    mult = a.mult * b.mult * prod(coeffs)
+                    merged[blocks] = merged.get(blocks, 0) + mult
+        return BundleSum._canonical(self.space, merged)
 
     def cohomology(self) -> tuple[tuple[HomogeneousBundle, Cohomology], ...]:
         """Bott cohomology per term, in canonical term order."""

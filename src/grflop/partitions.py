@@ -117,6 +117,15 @@ class WeightedSum:
             merged[key] = merged.get(key, 0) + c
         self._terms = dict(sorted(merged.items()))
 
+    @classmethod
+    def _trusted(cls, terms: dict[Weight, int], length: int) -> "WeightedSum":
+        """Wrap terms already canonical for `length` (keys of that length,
+        sorted, with positive multiplicities), skipping validation and sorting."""
+        self = object.__new__(cls)
+        self.length = length
+        self._terms = terms
+        return self
+
     def items(self) -> Iterator[tuple[Weight, int]]:
         return iter(self._terms.items())
 
@@ -252,10 +261,26 @@ def gl_tensor(lam: Iterable[int], mu: Iterable[int], m: int) -> WeightedSum:
 
     Both weights are shifted to partitions, multiplied by the LR rule with
     shapes truncated to m rows, and shifted back.  Output weights have length m.
-    Results are memoized on ``(tuple(lam), tuple(mu), m)`` and shared between
-    callers; a WeightedSum has no mutators.
+    Since V_{lam+a} (x) V_{mu+b} = (V_lam (x) V_mu) (x) det^(a+b), two weights of
+    length m are first shifted to end in 0, and the product of those is memoized
+    and shifted back; shorter weights are memoized as given.  Results are
+    shared between callers; a WeightedSum has no mutators.
     """
-    return _gl_tensor(tuple(lam), tuple(mu), m)
+    lam, mu = tuple(lam), tuple(mu)
+    if m and len(lam) == len(mu) == m:
+        a, b = lam[-1], mu[-1]
+        try:
+            table = _gl_tensor(tuple([x - a for x in lam]), tuple([x - b for x in mu]), m)
+        except ValueError:
+            pass  # invalid: raise below, quoting the caller's weights
+        else:
+            t = a + b
+            if not t:
+                return table
+            # A uniform shift keeps the lexicographic order of the keys.
+            return WeightedSum._trusted(
+                {tuple([x + t for x in nu]): c for nu, c in table.items()}, m)
+    return _gl_tensor(lam, mu, m)
 
 
 @lru_cache(maxsize=4096)

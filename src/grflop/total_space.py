@@ -48,14 +48,13 @@ class TotalSpaceModel:
 
         For xplus, term(l) raises the last first-block entry by at least l and
         fixes the second block; for xminus, the first block rises by exactly 2l
-        while the second block's head rises by at most l.
+        while the second block's head rises by at most l.  Either way the gap
+        is mu[0] - lam[-1] for blocks (lam | mu).
         """
+        if self.name not in ("xplus", "xminus"):
+            raise ValueError(f"no certified cutoff rule for model {self.name!r}")
         lam, mu = bundle.blocks
-        if self.name == "xplus":
-            return mu[0] - lam[-1]
-        if self.name == "xminus":
-            return mu[0] - lam[-1]
-        raise ValueError(f"no certified cutoff rule for model {self.name!r}")
+        return mu[0] - lam[-1]
 
     def __str__(self) -> str:
         return self.name
@@ -94,7 +93,12 @@ def stable_cutoff(model: TotalSpaceModel, left, right) -> CutoffCertificate:
     right = as_sum(right)
     if left.space != model.base or right.space != model.base:
         raise ValueError(f"bundles must live on {model.base}")
-    product = left.dual().tensor(right)
+    return _certify(model, left.dual().tensor(right))
+
+
+def _certify(model: TotalSpaceModel, product) -> CutoffCertificate:
+    """The certificate for the product dual(left) (x) right: the largest
+    dominance gap of its summands, and the summand that has it."""
     l0 = 0
     binding = None
     for t in product:
@@ -193,15 +197,15 @@ def ext_table(model: TotalSpaceModel, left, right, cutoff="auto") -> ExtTable:
     right = as_sum(right)
     if left.space != model.base or right.space != model.base:
         raise ValueError(f"bundles must live on {model.base}")
+    product = left.dual().tensor(right)
     certificate = None
     if cutoff == "auto":
-        certificate = stable_cutoff(model, left, right)
+        certificate = _certify(model, product)
         top = certificate.l0
     else:
         top = int(cutoff)
         if top < 0:
             raise ValueError("cutoff must be nonnegative")
-    product = left.dual().tensor(right)
     rows = []
     for l in range(top + 1):
         level_sum = product.tensor(model.term(l))

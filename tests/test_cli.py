@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
-from grflop.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, WEYL_MAX_M, main
+from grflop.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, LEVEL_MAX, WEYL_MAX_M,
+                        build_parser, main)
 from grflop.homog import GR35
 from grflop.report import Report
 
@@ -143,6 +144,41 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["weyl", "dim", "--help"])
         assert f"at most {WEYL_MAX_M}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, stubbed, message", [
+        (["ext-total", "--model", "xplus", "--left", "spade", "--right", "spade",
+          "--cutoff", "100000"], "ext_table",
+         f"argument --cutoff: cutoff must be at most {LEVEL_MAX}, got 100000"),
+        (["euler", "compare", "--star", "spade", "--max-l", "5000"], "euler_cross_check",
+         f"argument --max-l: must be at most {LEVEL_MAX}, got 5000"),
+    ])
+    def test_level_past_limit_refused_before_computing(self, argv, stubbed, message,
+                                                      capsys, monkeypatch):
+        """A fiber level past LEVEL_MAX is a usage error raised before the
+        per-level computation starts."""
+        def never(*args):
+            pytest.fail(f"{stubbed} was called")
+        monkeypatch.setattr(grflop.cli, stubbed, never)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_level_limit_is_inclusive(self):
+        parser = build_parser()
+        args = parser.parse_args(["ext-total", "--model", "xplus", "--left", "o",
+                                  "--right", "o", "--cutoff", str(LEVEL_MAX)])
+        assert args.cutoff == LEVEL_MAX
+        args = parser.parse_args(["euler", "compare", "--star", "spade",
+                                  "--max-l", str(LEVEL_MAX)])
+        assert args.max_l == LEVEL_MAX
+
+    @pytest.mark.parametrize("argv", [["ext-total", "--help"],
+                                      ["euler", "compare", "--help"]])
+    def test_level_help_names_the_limit(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"at most {LEVEL_MAX}" in " ".join(capsys.readouterr().out.split())
 
     def test_check_failure_exit(self, capsys, monkeypatch):
         corrupted = dict(grflop.data.WINDOW_WEIGHTS)

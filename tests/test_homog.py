@@ -1,15 +1,18 @@
 """Bundle algebra and Bott cohomology tests."""
 
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grflop import data
 from grflop.homog import (FL235, GR25, GR35, BundleSum, FlagVariety,
-                          HomogeneousBundle, bott, line_bundle, schur_sub_dual,
-                          structure_sheaf)
+                          HomogeneousBundle, as_sum, bott, line_bundle,
+                          schur_sub_dual, structure_sheaf)
 from grflop.homog import _bott
-from grflop.partitions import weyl_dim
+from grflop.partitions import _gl_tensor, weyl_dim
+from grflop.total_space import XMINUS, XPLUS
 
 
 def decreasing_tuple(length, lo=-4, hi=4):
@@ -90,6 +93,17 @@ class TestBundleBasics:
         with pytest.raises(ValueError):
             structure_sheaf(GR25).tensor(structure_sheaf(GR35))
 
+    def test_tensor_space_mismatch_messages(self):
+        """A bundle against a bundle says "bundles"; every pairing with a sum
+        says "sums"."""
+        e, f = structure_sheaf(GR25), structure_sheaf(GR35)
+        cases = [(e, f, "bundles"), (e, as_sum(f), "sums"),
+                 (as_sum(e), f, "sums"), (as_sum(e), as_sum(f), "sums")]
+        for x, y, word in cases:
+            with pytest.raises(ValueError) as err:
+                x.tensor(y)
+            assert str(err.value) == f"cannot tensor {word} on different spaces"
+
     @given(bundles_on(GR25), bundles_on(GR25))
     @settings(max_examples=100, deadline=None)
     def test_rank_multiplicativity(self, e, f):
@@ -107,6 +121,81 @@ class TestBundleBasics:
         for t in e.tensor(f):
             rebuilt = HomogeneousBundle(t.space, t.blocks, t.mult)
             assert rebuilt == t and hash(rebuilt) == hash(t)
+
+
+def tensor_per_pair(x, y) -> BundleSum:
+    """Reference: the two-level tensor algorithm.  Each irreducible pair is
+    expanded through the uncached GL product into validated bundles and
+    canonicalized as its own sum; then all pair sums are merged and
+    canonicalized again."""
+    x, y = as_sum(x), as_sum(y)
+    space = x.space
+    sizes = space.block_sizes()
+    out = []
+    for a in x:
+        for b in y:
+            per_block = [_gl_tensor.__wrapped__(p, q, s)
+                         for p, q, s in zip(a.blocks, b.blocks, sizes)]
+            pair = []
+            for combo in product(*(list(ws.items()) for ws in per_block)):
+                mult = a.mult * b.mult * prod(c for _, c in combo)
+                pair.append(HomogeneousBundle(space, tuple(w for w, _ in combo), mult))
+            out.extend(BundleSum.of(space, pair).terms)
+    return BundleSum.of(space, out)
+
+
+def assert_same_sum(got: BundleSum, expected: BundleSum):
+    assert got == expected
+    assert [t.key() for t in got] == sorted(t.key() for t in got)
+    for t in got:
+        rebuilt = HomogeneousBundle(t.space, t.blocks, t.mult)
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+
+
+class TestOnePassTensor:
+    """BundleSum.tensor against the two-level reference."""
+
+    @pytest.mark.parametrize("name", data.WINDOW_NAMES + ("kapranov",))
+    def test_window_sums(self, name):
+        """Every window sum against itself and its dual, and that product
+        against the first four xplus fiber terms."""
+        e = data.window_sum_plus(name)
+        assert_same_sum(e.tensor(e), tensor_per_pair(e, e))
+        product_ = e.dual().tensor(e)
+        assert_same_sum(product_, tensor_per_pair(e.dual(), e))
+        for l in range(4):
+            term = XPLUS.term(l)
+            assert_same_sum(product_.tensor(term), tensor_per_pair(product_, term))
+
+    def test_collections_on_gr25(self):
+        objects = data.collection_objects("lef-gr25")
+        e = BundleSum.of(GR25, objects)
+        product_ = e.dual().tensor(e)
+        assert_same_sum(product_, tensor_per_pair(e.dual(), e))
+        term = XMINUS.term(2)
+        assert_same_sum(product_.tensor(term), tensor_per_pair(product_, term))
+
+    def test_multiplicities(self):
+        """Terms with multiplicity > 1, and pairs whose products overlap."""
+        u = schur_sub_dual(GR35, (1, 0, 0))
+        e = BundleSum.of(GR35, [u.with_mult(3), line_bundle(GR35, 1).with_mult(2),
+                                schur_sub_dual(GR35, (1, 1, 0), -1).with_mult(5)])
+        f = BundleSum.of(GR35, [u.dual().with_mult(4), structure_sheaf(GR35)])
+        assert_same_sum(e.tensor(f), tensor_per_pair(e, f))
+        assert_same_sum(u.with_mult(3).tensor(u.with_mult(2)),
+                        tensor_per_pair(u.with_mult(3), u.with_mult(2)))
+        assert all(t.mult >= 6 for t in u.with_mult(3).tensor(u.with_mult(2)))
+
+    @given(st.lists(bundles_on(FL235), min_size=1, max_size=3),
+           st.lists(bundles_on(FL235), min_size=1, max_size=3),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_flag_sums(self, xs, ys, k):
+        x = BundleSum.of(FL235, [t.with_mult(k) for t in xs])
+        y = BundleSum.of(FL235, ys)
+        assert_same_sum(x.tensor(y), tensor_per_pair(x, y))
+        assert_same_sum(xs[0].tensor(y), tensor_per_pair(xs[0], y))
+        assert_same_sum(x.tensor(ys[0]), tensor_per_pair(x, ys[0]))
 
 
 class TestBott:

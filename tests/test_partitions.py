@@ -5,12 +5,15 @@ the skew shape box by box and checks the lattice word at the end, so the two
 paths share nothing but the definition.
 """
 
+import re
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop.partitions import (WeightedSum, as_partition, gl_tensor,
                                lr_coefficient, lr_mult, shift, weyl_dim)
-from grflop.partitions import _gl_tensor
+from grflop.partitions import _gl_tensor, _lr_products
 
 
 def brute_lr_coefficient(nu, lam, mu):
@@ -154,6 +157,18 @@ class TestWeylDim:
         assert weyl_dim((3, 1, 0), 3) == weyl_dim((5, 3, 2), 3)
 
 
+# Invalid gl_tensor input -> its error message.
+INVALID_GL_TENSOR = {
+    ((1, 0, 0), (1, 0), 2): "weight (1, 0, 0) longer than 2",
+    ((0, 1), (0, 0), 2): "not weakly decreasing: (0, 1)",
+    ((0, -1), (0,), 3): "cannot zero-pad (0, -1): last entry negative",
+    # Both of length m: the message quotes the caller's weight, not the one
+    # shifted to end in 0.
+    ((2, 1), (1, 2), 2): "not weakly decreasing: (1, 2)",
+    ((3, 5, 4), (0, 0, 0), 3): "not weakly decreasing: (3, 5, 4)",
+}
+
+
 class TestGLTensor:
     def test_standard_square(self):
         assert expand(gl_tensor((1, 0, 0), (1, 0, 0), 3)) == \
@@ -174,16 +189,35 @@ class TestGLTensor:
         assert gl_tensor([0, 0, -1], [1, 0, 0], 3) == gl_tensor((0, 0, -1), (1, 0, 0), 3)
         assert expand(gl_tensor([2, 1], (1, 1), 2)) == {(3, 2): 1}
 
-    @pytest.mark.parametrize("lam, mu, m", [
-        ((1, 0, 0), (1, 0), 2),     # too long
-        ((0, 1), (0, 0), 2),        # not weakly decreasing
-        ((0, -1), (0,), 3),         # cannot zero-pad a negative last entry
-    ])
+    @pytest.mark.parametrize("lam, mu, m", list(INVALID_GL_TENSOR))
     def test_invalid_input_raises_on_every_call(self, lam, mu, m):
-        """The memo caches results, not exceptions."""
+        """The memo caches results, not exceptions; the message is the one the
+        validating path gives, for tuple and list input alike."""
+        message = f"^{re.escape(INVALID_GL_TENSOR[lam, mu, m])}$"
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 gl_tensor(lam, mu, m)
+            with pytest.raises(ValueError, match=message):
+                gl_tensor(list(lam), list(mu), m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_twist_identity(self, m):
+        """gl_tensor(lam + a, mu + b, m) is the LR product of the partitions
+        lam, mu shifted by a + b, for every pair of partitions in the m x 2 box
+        and shifts that make entries negative."""
+        box = [tuple(sorted(p, reverse=True))
+               for p in combinations_with_replacement(range(3), m)]
+        for lam in box:
+            for mu in box:
+                table = _lr_products(lam, mu, m)
+                for a in (-3, 0, 2):
+                    for b in (-2, 0, 1):
+                        got = gl_tensor(shift(lam, a), shift(mu, b), m)
+                        assert expand(got) == {shift(nu, a + b): c
+                                               for nu, c in table.items()}
+                        assert got.length == m
+                        assert list(got.weights()) == sorted(got.weights())
+                        assert got == WeightedSum(expand(got), length=m)
 
     def test_memo_is_bounded(self):
         assert _gl_tensor.cache_info().maxsize == 4096

@@ -2,7 +2,7 @@
 
 import pytest
 
-from grflop import data
+from grflop import data, total_space
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.total_space import (MODELS, XMINUS, XPLUS, ext_table,
@@ -117,6 +117,21 @@ class TestPretilting:
                               line_bundle(GR25, -k), "auto")
             assert not table.any_higher_cohomology
 
+    @pytest.mark.parametrize("model, left, right", [
+        (XPLUS, data.window_sum_plus("spade"), data.window_sum_plus("spade")),
+        (XPLUS, data.window_sum_plus("heart"), data.window_sum_plus("club")),
+        (XMINUS, schur_sub_dual(GR25, (2, 0)), schur_sub_dual(GR25, (1, 0), -1)),
+    ])
+    def test_auto_certifies_its_own_product(self, model, left, right, monkeypatch):
+        """With cutoff="auto" the certificate comes from the product ext_table
+        builds anyway, and equals stable_cutoff's."""
+        expected = stable_cutoff(model, left, right)
+        monkeypatch.setattr(total_space, "stable_cutoff",
+                            lambda *args: pytest.fail("stable_cutoff was called"))
+        table = ext_table(model, left, right, "auto")
+        assert table.certificate == expected
+        assert table.cutoff == expected.l0
+
     def test_models_registry(self):
         assert set(MODELS) == {"xplus", "xminus"}
 
@@ -133,5 +148,7 @@ class TestCustomModel:
         assert ours.level_degree_dims() == builtin.level_degree_dims()
         with pytest.raises(ValueError):
             custom.term(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no certified cutoff rule for model 'custom'"):
             stable_cutoff(custom, o, o)
+        with pytest.raises(ValueError, match="no certified cutoff rule for model 'custom'"):
+            ext_table(custom, o, o, "auto")
