@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 for success (or a pure query), 1 when a verification check
-fails, 2 for usage errors.  ``--json PATH`` writes the machine-readable
-report; tables go to stdout either way.
+fails, 2 for usage errors, 3 for an internal error (a bug; one line on stderr,
+no traceback).  ``--json PATH`` writes the machine-readable report; tables go
+to stdout either way.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .verify import verify_all
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # `weyl dim` takes O(m^2) big-integer products, so a larger m is refused as a
 # usage error instead of running for minutes.
@@ -34,6 +36,10 @@ WEYL_MAX_M = 100
 # per fiber level up to this bound, each costlier than the last: level 100
 # takes about a second, level 400 several.
 LEVEL_MAX = 100
+# `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
+# steeply with the number of boxes: the worst shapes found take about a second
+# at 36 boxes and two at 40.
+LR_MAX_BOXES = 36
 
 
 def _weight_arg(text: str) -> tuple[int, ...]:
@@ -73,6 +79,17 @@ def _weyl_m_arg(text: str) -> int:
     if m > WEYL_MAX_M:
         raise argparse.ArgumentTypeError(f"must be at most {WEYL_MAX_M}, got {m}")
     return m
+
+
+class _LRBoxes(argparse.Action):
+    """Stores `mu` when |lam| + |mu| is at most LR_MAX_BOXES (lam is parsed first)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        boxes = sum(abs(x) for x in namespace.lam + values)
+        if boxes > LR_MAX_BOXES:
+            raise argparse.ArgumentError(
+                self, f"|lam| + |mu| must be at most {LR_MAX_BOXES}, got {boxes}")
+        setattr(namespace, self.dest, values)
 
 
 def _twists_arg(text: str) -> range:
@@ -313,14 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lr", help="Littlewood-Richardson products")
     lr_sub = p.add_subparsers(dest="action", required=True)
+    mu_help = f"a partition; |lam| + |mu| is at most {LR_MAX_BOXES}"
     q = lr_sub.add_parser("mult", help="expand a product of two partitions")
     q.add_argument("lam", type=_weight_arg)
-    q.add_argument("mu", type=_weight_arg)
+    q.add_argument("mu", type=_weight_arg, action=_LRBoxes, help=mu_help)
     q.set_defaults(func=_cmd_lr)
     q = lr_sub.add_parser("coeff", help="one LR coefficient")
     q.add_argument("nu", type=_weight_arg)
     q.add_argument("lam", type=_weight_arg)
-    q.add_argument("mu", type=_weight_arg)
+    q.add_argument("mu", type=_weight_arg, action=_LRBoxes, help=mu_help)
     q.set_defaults(func=_cmd_lr)
 
     p = sub.add_parser("weyl", help="Weyl dimension formula")
@@ -426,6 +444,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: one line and its own exit code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

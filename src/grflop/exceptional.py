@@ -2,25 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import data
 from .homog import (BundleSum, FlagVariety, GR35, HomogeneousBundle,
-                    schur_sub_dual)
+                    degree_totals, schur_sub_dual)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ExceptionalCollection:
-    name: str
-    space: FlagVariety
-    objects: tuple[HomogeneousBundle, ...]
+class ExceptionalCollection(Value):
+    __slots__ = ("name", "space", "objects")
 
-    def __post_init__(self):
-        if not self.objects:
+    def __init__(self, name: str, space: FlagVariety,
+                 objects: tuple[HomogeneousBundle, ...]):
+        if not objects:
             raise ValueError("empty collection")
-        if any(o.space != self.space for o in self.objects):
+        if any(o.space != space for o in objects):
             raise ValueError("all objects must live on the collection's space")
+        super().__init__(name, space, objects)
 
 
 def builtin_collection(name: str) -> ExceptionalCollection:
@@ -28,23 +27,24 @@ def builtin_collection(name: str) -> ExceptionalCollection:
     return ExceptionalCollection(name, objects[0].space, objects)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "exceptional" | "semiorthogonality" | "strongness"
-    source: int
-    target: int
-    degree: int
-    dim: int
+class Violation(Value):
+    __slots__ = ("kind", "source", "target", "degree", "dim")
+
+    def __init__(self, kind: str, source: int, target: int, degree: int, dim: int):
+        # kind is "exceptional", "semiorthogonality" or "strongness"
+        super().__init__(kind, source, target, degree, dim)
 
     def as_json(self) -> dict:
         return {"kind": self.kind, "source": self.source, "target": self.target,
                 "degree": self.degree, "dim": self.dim}
 
 
-@dataclass(frozen=True)
-class CollectionReport:
-    collection: ExceptionalCollection
-    violations: tuple[Violation, ...]
+class CollectionReport(Value):
+    __slots__ = ("collection", "violations")
+
+    def __init__(self, collection: ExceptionalCollection,
+                 violations: tuple[Violation, ...]):
+        super().__init__(collection, violations)
 
     @property
     def passed(self) -> bool:
@@ -62,11 +62,7 @@ class CollectionReport:
 def ext_groups(source: HomogeneousBundle, target: HomogeneousBundle
                ) -> dict[int, int]:
     """Nonzero Ext dimensions between two bundles, by degree."""
-    out: dict[int, int] = {}
-    for t, c in source.dual().tensor(target).cohomology():
-        if not c.is_acyclic:
-            out[c.degree] = out.get(c.degree, 0) + t.mult * c.dim
-    return dict(sorted(out.items()))
+    return degree_totals(source.dual().tensor(target).cohomology())
 
 
 def check_collection(coll: ExceptionalCollection) -> CollectionReport:
@@ -98,16 +94,15 @@ def check_collection(coll: ExceptionalCollection) -> CollectionReport:
     return CollectionReport(coll, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ResolutionSequence:
+class ResolutionSequence(Value):
     """A four-term complex shape with alternating signs, first term positive."""
 
-    name: str
-    terms: tuple[BundleSum, ...]
+    __slots__ = ("name", "terms")
 
-    def __post_init__(self):
-        if len(self.terms) < 2:
+    def __init__(self, name: str, terms: tuple[BundleSum, ...]):
+        if len(terms) < 2:
             raise ValueError("a resolution needs at least two terms")
+        super().__init__(name, terms)
 
     def signs(self) -> tuple[int, ...]:
         return tuple(1 if i % 2 == 0 else -1 for i in range(len(self.terms)))
@@ -125,13 +120,16 @@ def builtin_resolution(name: str) -> ResolutionSequence:
     return ResolutionSequence(name, tuple(terms))
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    sequence: ResolutionSequence
-    rank_sum: int
-    twists: tuple[int, ...]
-    euler_sums: tuple[tuple[int, int], ...]  # (twist, alternating signed-dim sum)
-    degree_table: tuple[tuple[int, int, int, int], ...]  # (twist, term, degree, dim)
+class ResolutionReport(Value):
+    __slots__ = ("sequence", "rank_sum", "twists", "euler_sums", "degree_table")
+
+    def __init__(self, sequence: ResolutionSequence, rank_sum: int,
+                 twists: tuple[int, ...],
+                 euler_sums: tuple[tuple[int, int], ...],
+                 degree_table: tuple[tuple[int, int, int, int], ...]):
+        # euler_sums: (twist, alternating signed-dim sum);
+        # degree_table: (twist, term, degree, dim)
+        super().__init__(sequence, rank_sum, twists, euler_sums, degree_table)
 
     @property
     def passed(self) -> bool:

@@ -18,13 +18,13 @@ endomorphisms of the extension itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, as_sum,
-                    line_bundle, schur_sub_dual, structure_sheaf)
+                    degree_totals, line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import Weight, as_weight
 from .total_space import XMINUS, TotalSpaceModel
+from .value import Value
 
 
 def _is_per_block_constant(b: HomogeneousBundle) -> bool:
@@ -44,25 +44,24 @@ def _line_combo(space, parts: Sequence[tuple[HomogeneousBundle, int]]) -> Homoge
     return HomogeneousBundle(space, blocks)
 
 
-@dataclass(frozen=True)
-class FilteredBundle:
+class FilteredBundle(Value):
     """Ordered graded pieces (sub to quotient) of a filtered bundle on Gr(2,5).
 
     ``offsets[i]`` is the fiber degree of ``pieces[i]`` relative to the
     pullback normalization.
     """
 
-    pieces: tuple[BundleSum, ...]
-    offsets: tuple[int, ...]
-    label: str = ""
+    __slots__ = ("pieces", "offsets", "label")
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, pieces: tuple[BundleSum, ...], offsets: tuple[int, ...],
+                 label: str = ""):
+        if not pieces:
             raise ValueError("a filtered bundle needs at least one piece")
-        if len(self.offsets) != len(self.pieces):
+        if len(offsets) != len(pieces):
             raise ValueError("one offset per piece required")
-        if len({p.space for p in self.pieces}) != 1:
+        if len({p.space for p in pieces}) != 1:
             raise ValueError("all pieces must live on one space")
+        super().__init__(pieces, offsets, label)
 
     @property
     def space(self):
@@ -203,11 +202,13 @@ def _as_pieces(x) -> list[tuple[BundleSum, int]]:
     raise TypeError(f"cannot interpret {type(x).__name__} as filtered pieces")
 
 
-@dataclass(frozen=True)
-class GradedEuler:
+class GradedEuler(Value):
     """Graded Euler characteristics chi_l, exact integers, for l in [0, max_l]."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        super().__init__(values)
 
     def __getitem__(self, l: int) -> int:
         return self.values[l]
@@ -242,12 +243,11 @@ def graded_euler(left, right, max_l: int = 8,
         for l in range(max_l + 1)))
 
 
-@dataclass(frozen=True)
-class SuiteItem:
-    check_id: str
-    description: str
-    passed: bool
-    details: dict
+class SuiteItem(Value):
+    __slots__ = ("check_id", "description", "passed", "details")
+
+    def __init__(self, check_id: str, description: str, passed: bool, details: dict):
+        super().__init__(check_id, description, passed, details)
 
     def as_json(self) -> dict:
         return {"id": self.check_id, "description": self.description,
@@ -299,16 +299,13 @@ def vanishing_suite() -> tuple[SuiteItem, ...]:
     for i, (src, tgt, label) in enumerate(data.GR35_ORTHOGONAL_PAIRS, start=1):
         source = schur_sub_dual(GR35, src)
         target = schur_sub_dual(GR35, tgt)
-        groups: dict[int, int] = {}
-        for t, c in source.dual().tensor(target).cohomology():
-            if not c.is_acyclic:
-                groups[c.degree] = groups.get(c.degree, 0) + t.mult * c.dim
+        groups = degree_totals(source.dual().tensor(target).cohomology())
         items.append(SuiteItem(
             f"gr35-orthogonal-{i}",
             f"complete Ext vanishing on Gr(3,5): {label}",
             not groups,
             {"source": source.literal(), "target": target.literal(),
-             "nonzero": {str(d): n for d, n in sorted(groups.items())}}))
+             "nonzero": {str(d): n for d, n in groups.items()}}))
     return tuple(items)
 
 

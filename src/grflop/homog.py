@@ -13,29 +13,32 @@ inversions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import ClassVar
 
 from .partitions import Weight, as_weight, gl_tensor, pad, weyl_dim
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FlagVariety:
+class FlagVariety(Value):
     """A partial flag variety Fl(d_1, ..., d_r; n); a Grassmannian when r = 1."""
 
-    n: int
-    dims: tuple[int, ...]
+    __slots__ = ("n", "dims")
 
-    def __post_init__(self):
-        if self.n <= 0:
+    def __init__(self, n: int, dims: tuple[int, ...]):
+        if n <= 0:
             raise ValueError("ambient dimension must be positive")
-        d = self.dims
+        d = dims
         if not d or any(d[i] >= d[i + 1] for i in range(len(d) - 1)) \
-                or d[0] <= 0 or d[-1] >= self.n:
-            raise ValueError(f"invalid subspace dimensions {d} for n={self.n}")
+                or d[0] <= 0 or d[-1] >= n:
+            raise ValueError(f"invalid subspace dimensions {d} for n={n}")
+        super().__init__(n, dims)
+
+    def __hash__(self) -> int:
+        # Keys the _bott memo thousands of times per verify-all: spelled out
+        # rather than built through Value._fields.
+        return hash((self.n, self.dims))
 
     @classmethod
     def grassmannian(cls, k: int, n: int) -> "FlagVariety":
@@ -70,15 +73,13 @@ GR35 = FlagVariety.grassmannian(3, 5)
 FL235 = FlagVariety(5, (2, 3))
 
 
-@dataclass(frozen=True)
-class Cohomology:
+class Cohomology(Value):
     """Bott cohomology of one irreducible bundle: acyclic, or one nonzero degree."""
 
-    degree: int | None
-    weight: Weight | None
-    dim: int
+    __slots__ = ("degree", "weight", "dim")
 
-    ACYCLIC: ClassVar["Cohomology"]
+    def __init__(self, degree: int | None, weight: Weight | None, dim: int):
+        super().__init__(degree, weight, dim)
 
     @property
     def is_acyclic(self) -> bool:
@@ -123,31 +124,28 @@ def _bott(space: FlagVariety, concatenated: Weight) -> Cohomology:
     return Cohomology(inversions, weight, weyl_dim(weight, n))
 
 
-@dataclass(frozen=True)
-class HomogeneousBundle:
+class HomogeneousBundle(Value):
     """An irreducible homogeneous bundle with an integer multiplicity."""
 
-    space: FlagVariety
-    blocks: tuple[Weight, ...]
-    mult: int = 1
+    __slots__ = ("space", "blocks", "mult")
 
-    def __post_init__(self):
-        sizes = self.space.block_sizes()
-        blocks = tuple(as_weight(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, space: FlagVariety, blocks: tuple[Weight, ...], mult: int = 1):
+        sizes = space.block_sizes()
+        blocks = tuple(as_weight(b) for b in blocks)
         if len(blocks) != len(sizes):
             raise ValueError(f"expected {len(sizes)} blocks, got {len(blocks)}")
         for b, s in zip(blocks, sizes):
             if len(b) != s:
                 raise ValueError(f"block {b} should have length {s}")
-        if self.mult <= 0:
+        if mult <= 0:
             raise ValueError("multiplicity must be positive")
+        super().__init__(space, blocks, mult)
 
     @classmethod
     def _trusted(cls, space: FlagVariety, blocks: tuple[Weight, ...],
                  mult: int) -> "HomogeneousBundle":
         """Build from blocks and a multiplicity already known valid for `space`,
-        skipping the validation in __post_init__."""
+        skipping the validation in __init__."""
         self = object.__new__(cls)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "blocks", blocks)
@@ -209,12 +207,13 @@ class HomogeneousBundle:
         return f"<{self.literal()}>"
 
 
-@dataclass(frozen=True)
-class BundleSum:
+class BundleSum(Value):
     """Canonical finite direct sum of homogeneous bundles on one flag variety."""
 
-    space: FlagVariety
-    terms: tuple[HomogeneousBundle, ...]
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space: FlagVariety, terms: tuple[HomogeneousBundle, ...]):
+        super().__init__(space, terms)
 
     @classmethod
     def of(cls, space: FlagVariety, terms) -> "BundleSum":
@@ -278,6 +277,17 @@ class BundleSum:
     def signed_euler(self) -> int:
         """Alternating sum of cohomology dimensions, multiplicities included."""
         return sum(t.mult * c.signed_dim() for t, c in self.cohomology())
+
+
+def degree_totals(pairs) -> dict[int, int]:
+    """Total nonzero cohomology by degree, multiplicities included, over
+    (bundle, Cohomology) pairs such as BundleSum.cohomology() returns; sorted
+    by degree."""
+    out: dict[int, int] = {}
+    for t, c in pairs:
+        if not c.is_acyclic:
+            out[c.degree] = out.get(c.degree, 0) + t.mult * c.dim
+    return dict(sorted(out.items()))
 
 
 def as_sum(x) -> BundleSum:

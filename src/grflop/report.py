@@ -8,7 +8,6 @@ inputs produce byte-identical output.  Exact rationals are encoded as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -34,13 +33,14 @@ def encode_value(x):
     raise TypeError(f"cannot encode {type(x).__name__} into a report")
 
 
-@dataclass
 class Report:
     """Aggregated result of one command: per-check records plus a summary."""
 
-    command: str
-    input_echo: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, command: str, input_echo: dict | None = None,
+                 checks: list | None = None):
+        self.command = command
+        self.input_echo = {} if input_echo is None else input_echo
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, status: str, payload=None) -> None:
         if status not in (PASS, FAIL, INFO):

@@ -12,7 +12,6 @@ one-parameter subgroups is a quadratic irrational; it is carried exactly as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -20,6 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Weight, as_weight
+from .value import Value
 
 TORUS_WEIGHTS: dict[str, tuple[int, int, int]] = {
     "u1": (-1, 0, 0),
@@ -98,10 +98,11 @@ def _in_window(chi: Weight, window) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Membership:
-    member: bool
-    failed: tuple[str, ...]
+class Membership(Value):
+    __slots__ = ("member", "failed")
+
+    def __init__(self, member: bool, failed: tuple[str, ...]):
+        super().__init__(member, failed)
 
 
 def hl_membership(chi: Iterable[int], w: Sequence[int], side: str) -> Membership:
@@ -168,21 +169,19 @@ def hl_enumerate(w: Sequence[int], side: str) -> tuple[Weight, ...]:
     return tuple(chi for chi in _slot2_members(side, w[2]) if _in_window(chi, window))
 
 
-@dataclass(frozen=True)
-class ConeProblem:
+class ConeProblem(Value):
     """Constraint weights (by name) and a character, defining one strip of the
     unstable locus."""
 
-    supports: tuple[str, ...]
-    character: str
+    __slots__ = ("supports", "character")
 
-    def __post_init__(self):
-        bad = [s for s in self.supports if s not in TORUS_WEIGHTS]
+    def __init__(self, supports: tuple[str, ...], character: str):
+        bad = [s for s in supports if s not in TORUS_WEIGHTS]
         if bad:
             raise ValueError(f"unknown constraint weights: {bad}")
-        if self.character not in CHARACTERS:
-            raise ValueError(f"unknown character {self.character!r}")
-        object.__setattr__(self, "supports", tuple(sorted(set(self.supports))))
+        if character not in CHARACTERS:
+            raise ValueError(f"unknown character {character!r}")
+        super().__init__(tuple(sorted(set(supports))), character)
 
     @property
     def constraint_vectors(self) -> tuple[tuple[int, int, int], ...]:
@@ -193,13 +192,14 @@ class ConeProblem:
         return CHARACTERS[self.character]
 
 
-@dataclass(frozen=True)
-class KNSolution:
+class KNSolution(Value):
     """Exact destabilizing datum: M = -sqrt(value_sq) on the primitive ray, or
     no destabilizing direction at all (value_sq is None)."""
 
-    value_sq: Fraction | None
-    minimizer: tuple[int, int, int] | None
+    __slots__ = ("value_sq", "minimizer")
+
+    def __init__(self, value_sq: Fraction | None, minimizer: tuple[int, int, int] | None):
+        super().__init__(value_sq, minimizer)
 
     @property
     def destabilizing(self) -> bool:
@@ -278,15 +278,14 @@ def kn_adapted(problem: ConeProblem) -> KNSolution:
     return KNSolution(best_sq, best_ray)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Value):
     """One Kempf-Ness stratum at the group level, with its defining cone problem."""
 
-    side: str
-    description: str
-    problem: ConeProblem
-    value_sq: Fraction
-    weight: tuple[int, int, int]
+    __slots__ = ("side", "description", "problem", "value_sq", "weight")
+
+    def __init__(self, side: str, description: str, problem: ConeProblem,
+                 value_sq: Fraction, weight: tuple[int, int, int]):
+        super().__init__(side, description, problem, value_sq, weight)
 
     def as_json(self) -> dict:
         return {

@@ -9,14 +9,12 @@ a dominant concatenated weight, hence cohomology in degree 0 only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .homog import (Cohomology, FlagVariety, GR25, GR35,
-                    HomogeneousBundle, as_sum)
+                    HomogeneousBundle, as_sum, degree_totals)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TotalSpaceModel:
+class TotalSpaceModel(Value):
     """A vector-bundle total space over a Grassmannian, given by its pushforward rule.
 
     ``term(l)`` is the l-th summand of the pushforward of the structure sheaf.
@@ -26,9 +24,11 @@ class TotalSpaceModel:
     cutoffs are only available for the built-ins.
     """
 
-    name: str
-    base: FlagVariety
-    table: tuple[HomogeneousBundle, ...] | None = None
+    __slots__ = ("name", "base", "table")
+
+    def __init__(self, name: str, base: FlagVariety,
+                 table: tuple[HomogeneousBundle, ...] | None = None):
+        super().__init__(name, base, table)
 
     def term(self, l: int) -> HomogeneousBundle:
         if l < 0:
@@ -69,12 +69,13 @@ def pushforward_term(model: TotalSpaceModel, l: int) -> HomogeneousBundle:
     return model.term(l)
 
 
-@dataclass(frozen=True)
-class CutoffCertificate:
+class CutoffCertificate(Value):
     """A certified truncation level with the summand that forces it."""
 
-    l0: int
-    binding: HomogeneousBundle | None
+    __slots__ = ("l0", "binding")
+
+    def __init__(self, l0: int, binding: HomogeneousBundle | None):
+        super().__init__(l0, binding)
 
     def as_json(self) -> dict:
         out = {"l0": self.l0}
@@ -109,14 +110,15 @@ def _certify(model: TotalSpaceModel, product) -> CutoffCertificate:
     return CutoffCertificate(l0, binding)
 
 
-@dataclass(frozen=True)
-class ExtTable:
+class ExtTable(Value):
     """Per-fiber-degree cohomology of dual(left) (x) right on a total space."""
 
-    model: TotalSpaceModel
-    rows: tuple[tuple[int, tuple[tuple[HomogeneousBundle, Cohomology], ...]], ...]
-    cutoff: int
-    certificate: CutoffCertificate | None
+    __slots__ = ("model", "rows", "cutoff", "certificate")
+
+    def __init__(self, model: TotalSpaceModel,
+                 rows: tuple[tuple[int, tuple[tuple[HomogeneousBundle, Cohomology], ...]], ...],
+                 cutoff: int, certificate: CutoffCertificate | None):
+        super().__init__(model, rows, cutoff, certificate)
 
     @property
     def any_higher_cohomology(self) -> bool:
@@ -124,12 +126,7 @@ class ExtTable:
                    for _, entries in self.rows for _, c in entries)
 
     def degree_totals(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, entries in self.rows:
-            for t, c in entries:
-                if not c.is_acyclic:
-                    out[c.degree] = out.get(c.degree, 0) + t.mult * c.dim
-        return dict(sorted(out.items()))
+        return degree_totals(pair for _, entries in self.rows for pair in entries)
 
     def level_degree_dims(self) -> list[tuple[int, int, int]]:
         """(level, degree, total dim) triples, sorted."""
@@ -213,13 +210,15 @@ def ext_table(model: TotalSpaceModel, left, right, cutoff="auto") -> ExtTable:
     return ExtTable(model, tuple(rows), top, certificate)
 
 
-@dataclass(frozen=True)
-class PretiltingReport:
+class PretiltingReport(Value):
     """Outcome of a self-Ext vanishing check."""
 
-    ok: bool
-    witnesses: tuple[tuple[int, HomogeneousBundle, int, int], ...]
-    table: ExtTable
+    __slots__ = ("ok", "witnesses", "table")
+
+    def __init__(self, ok: bool,
+                 witnesses: tuple[tuple[int, HomogeneousBundle, int, int], ...],
+                 table: ExtTable):
+        super().__init__(ok, witnesses, table)
 
     def as_json(self) -> dict:
         return {

@@ -1,20 +1,23 @@
 """CLI behavior: subcommands, exit codes, bundle-set files and report JSON."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
-from grflop.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, LEVEL_MAX, WEYL_MAX_M,
-                        build_parser, main)
+from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, LEVEL_MAX,
+                        LR_MAX_BOXES, WEYL_MAX_M, build_parser, main)
 from grflop.homog import GR35
 from grflop.report import Report
 
@@ -180,6 +183,43 @@ class TestExitCodes:
             main(argv)
         assert f"at most {LEVEL_MAX}" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("argv", [["lr", "mult", "20,15,10,5", "18,12,6,2"],
+                                      ["lr", "coeff", "38,27,16,7", "20,15,10,5", "18,12,6,2"]])
+    def test_lr_past_box_limit_refused_before_computing(self, argv, capsys, monkeypatch):
+        """More than LR_MAX_BOXES boxes in lam and mu is a usage error raised
+        before the LR product starts."""
+        def never(*args):
+            pytest.fail("the LR product was computed")
+        for module, name in ((grflop.cli, "lr_mult"), (grflop.cli, "lr_coefficient"),
+                             (grflop.partitions, "lr_mult")):
+            monkeypatch.setattr(module, name, never)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert f"argument mu: |lam| + |mu| must be at most {LR_MAX_BOXES}, got 88" in \
+            capsys.readouterr().err
+
+    def test_lr_box_limit_is_inclusive(self, capsys):
+        half = LR_MAX_BOXES // 2
+        args = build_parser().parse_args(["lr", "mult", str(half), str(LR_MAX_BOXES - half)])
+        assert sum(args.lam) + sum(args.mu) == LR_MAX_BOXES
+        with pytest.raises(SystemExit):
+            main(["lr", "mult", str(half), str(LR_MAX_BOXES - half + 1)])
+        with pytest.raises(SystemExit):
+            main(["lr", "coeff", "--help"])
+        assert f"at most {LR_MAX_BOXES}" in " ".join(capsys.readouterr().out.split())
+
+    def test_internal_error_exit(self, capsys, monkeypatch):
+        """An exception that is not a usage error is a bug: exit 3 and one
+        line on stderr, never a traceback or the check-failed code."""
+        def broken(*args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(grflop.cli, "weyl_dim", broken)
+        assert main(["weyl", "dim", "2,1,0", "3"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+        assert "Traceback" not in err
+
     def test_check_failure_exit(self, capsys, monkeypatch):
         corrupted = dict(grflop.data.WINDOW_WEIGHTS)
         corrupted["spade"] = corrupted["spade"][:-1] + ((-5, -5, -5),)
@@ -308,3 +348,107 @@ class TestReports:
             return report.to_json_text()
 
         assert render() == render()
+
+
+# ---------------------------------------------------------------- argv fuzzer
+
+_JUNK = st.sampled_from(["", "x", "nope", "1,,2", "1.5", "-", "..", "3..1", "0..",
+                         "9" * 40, "auto", "-1", "1,2,3,4,5"])
+
+
+def _ints(lo, hi, min_size, max_size, decreasing=True):
+    """Comma-separated integers, weakly decreasing unless told otherwise."""
+    order = (lambda xs: sorted(xs, reverse=True)) if decreasing else list
+    return st.lists(st.integers(lo, hi), min_size=min_size, max_size=max_size).map(
+        lambda xs: ",".join(map(str, order(xs))))
+
+
+# Hypothesis favors the simplest draw (0, False, the first element), so each
+# choice below is arranged to make the simplest draw a well-formed argv.
+def _value(good):
+    """Mostly a value from `good`, now and then a malformed one."""
+    return st.integers(0, 7).flatmap(lambda k: _JUNK if k == 7 else good)
+
+
+def _pick(*choices):
+    return _value(st.sampled_from(choices))
+
+
+_SIDES = _pick("plus", "minus")
+_WINDOWS = ("spade", "heart", "club", "diamond", "kapranov")
+_GR_LITERAL = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just(f"gr({k},5)"), _ints(-3, 3, k, k).map("u=[{}]".format),
+    _ints(-3, 3, 5 - k, 5 - k).map("q=[{}]".format)).map(list))
+_BUNDLE_WORDS = st.lists(_pick("gr(3,5)", "fl(2,3;5)", "u=[1,0,0]", "q=[0,0]", "b1=[1,1]",
+                               "b2=[1]", "b3=[0,0]", "mult=2"), max_size=5)
+
+# (command words, positional strategies, {option: strategy}); positionals may
+# also be a single list strategy (bwb's bundle words).
+_COMMANDS = [
+    (["lr", "mult"], [_value(_ints(0, 5, 0, 4))] * 2, {}),
+    (["lr", "coeff"], [_value(_ints(0, 6, 0, 5))] + [_value(_ints(0, 4, 0, 3))] * 2, {}),
+    (["weyl", "dim"], [_value(_ints(-3, 5, 1, 3)), _value(st.integers(0, 6).map(str))], {}),
+    (["bwb", "cohom"], st.one_of(_GR_LITERAL, _BUNDLE_WORDS), {}),
+    (["ext-total"], [], {"--model": _pick("xplus", "xminus"),
+                         "--left": _pick("o", "spade", "kapranov"),
+                         "--right": _pick("o", "heart"),
+                         "--cutoff": _value(st.sampled_from(["auto", "0", "1", "2"]))}),
+    (["tilting", "check"], [], {"--model": _pick("xplus"),
+                                "--window": _pick(*_WINDOWS)}),
+    (["suite", "minus-vanishing"], [], {}),
+    (["euler", "compare"], [], {"--star": _pick(*_WINDOWS),
+                                "--max-l": _value(st.integers(-1, 2).map(str))}),
+    (["windows", "enumerate"], [], {"--side": _SIDES,
+                                    "--w": _value(_ints(-8, 2, 3, 3, decreasing=False))}),
+    (["windows", "member"], [], {"--chi": _value(_ints(-3, 3, 3, 3)), "--side": _SIDES,
+                                 "--w": _value(_ints(-8, 2, 3, 3, decreasing=False))}),
+    (["kn", "solve"], [], {"--character": _pick("plus", "minus"),
+                           "--support": _pick("", "q1", "u1,q2", "q1,q2,q3,u3")}),
+    (["kn", "strata"], [], {"--side": _SIDES}),
+    (["collections", "check"], [], {"--name": _pick("prop31-1", "lef-gr25")}),
+    (["collections", "resolve"], [], {"--name": _pick("lascoux-1", "lascoux-3"),
+                                      "--twists": _value(st.sampled_from(
+                                          ["-1..1", "0", "2..2", "1..0"]))}),
+    (["verify-all"], [], {}),
+]
+
+
+@st.composite
+def _argv(draw):
+    words, positionals, options = draw(st.sampled_from(_COMMANDS))
+    argv = list(words)
+    if isinstance(positionals, list):
+        argv += [draw(p) for p in positionals]
+    else:
+        argv += draw(positionals)
+    for flag, values in options.items():
+        if draw(st.integers(0, 15)) < 15:  # usually present, sometimes missing
+            value = draw(values)
+            argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+    json_flag = draw(st.booleans()) or argv[0] not in ("lr", "weyl")
+    argv += draw(st.sampled_from([[]] * 5 + [["--bogus"], ["extra"], ["--help"]]))
+    return argv, json_flag
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None)
+def test_argv_fuzz_exit_codes(drawn):
+    """Any argv exits 0, 1 or 2 without a traceback, and exits 1 exactly when
+    the JSON report has a failed check."""
+    argv, json_flag = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = Path(tmp) / "report.json"
+        if json_flag:
+            argv = argv + ["--json", str(report_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        report = json.loads(report_path.read_text()) if report_path.exists() else None
+    event(f"{argv[0]} exit {code}")
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    failed = report is not None and report["summary"]["fail"] > 0
+    assert (code == EXIT_FAIL) == failed, argv

@@ -1,0 +1,146 @@
+"""Value classes: the import contract and the semantics every record shares."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import grflop
+from grflop.exceptional import (CollectionReport, ExceptionalCollection,
+                                ResolutionReport, ResolutionSequence, Violation,
+                                builtin_collection, builtin_resolution,
+                                check_collection, check_resolution)
+from grflop.filtered import (FilteredBundle, GradedEuler, SuiteItem,
+                             core_extension)
+from grflop.homog import (GR25, GR35, BundleSum, Cohomology, FlagVariety,
+                          HomogeneousBundle, line_bundle, structure_sheaf)
+from grflop.report import Report
+from grflop.stability import (ConeProblem, KNSolution, Membership, Stratum,
+                              hl_membership, kn_adapted)
+from grflop.total_space import (XMINUS, XPLUS, CutoffCertificate, ExtTable,
+                                PretiltingReport, TotalSpaceModel, ext_table,
+                                is_pretilting)
+from grflop.value import Value
+
+# The modules perfbench/layers.py and perfbench/cuts.py look up in sys.modules.
+TRACED_MODULES = ("bundleset", "cli", "exceptional", "filtered", "homog",
+                  "partitions", "report", "stability", "total_space", "verify")
+
+
+def test_cli_import_leaves_dataclasses_out():
+    """A fresh `import grflop.cli` loads every traced module and `value`, but
+    not `dataclasses`, and HomogeneousBundle still defines its own __init__."""
+    src = str(Path(grflop.__file__).resolve().parents[1])
+    code = ("import json, sys, grflop.cli, grflop.homog as h; print(json.dumps("
+            "[sorted(sys.modules), '__init__' in vars(h.HomogeneousBundle)]))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    modules, has_init = json.loads(out)
+    assert "dataclasses" not in modules
+    for name in TRACED_MODULES + ("value",):
+        assert f"grflop.{name}" in modules
+    assert has_init
+
+
+B = HomogeneousBundle(GR35, ((2, 1, 0), (0, 0)), 2)
+O25 = structure_sheaf(GR25)
+
+# One factory per converted class; each call builds a new, equal instance.
+FACTORIES = {
+    FlagVariety: lambda: FlagVariety(5, (2, 3)),
+    Cohomology: lambda: Cohomology(0, (1, 0, 0, 0, 0), 5),
+    HomogeneousBundle: lambda: HomogeneousBundle(GR35, [[2, 1, 0], [0, 0]], 2),
+    BundleSum: lambda: BundleSum.of(GR25, [line_bundle(GR25, 1), O25]),
+    TotalSpaceModel: lambda: TotalSpaceModel("custom", GR25, (O25,)),
+    CutoffCertificate: lambda: CutoffCertificate(2, B),
+    ExtTable: lambda: ext_table(XPLUS, B, B, cutoff=1),
+    PretiltingReport: lambda: is_pretilting(XMINUS, O25),
+    ExceptionalCollection: lambda: builtin_collection("lef-gr25"),
+    Violation: lambda: Violation("strongness", 0, 1, 2, 3),
+    CollectionReport: lambda: check_collection(builtin_collection("lef-gr25")),
+    ResolutionSequence: lambda: builtin_resolution("lascoux-1"),
+    ResolutionReport: lambda: check_resolution(builtin_resolution("lascoux-1"), range(2)),
+    FilteredBundle: core_extension,
+    GradedEuler: lambda: GradedEuler((1, 2, 3)),
+    SuiteItem: lambda: SuiteItem("probe", "a probe", True, {"l0": 0}),
+    Membership: lambda: hl_membership((0, 0, 0), (0, 0, 0), "plus"),
+    ConeProblem: lambda: ConeProblem(("q2", "q1", "q2"), "minus"),
+    KNSolution: lambda: kn_adapted(ConeProblem(("q3",), "minus")),
+    Stratum: lambda: Stratum("plus", "probe", ConeProblem(("q1",), "plus"),
+                             Fraction(2, 9), (1, 1, -4)),
+}
+
+
+def test_every_value_class_is_covered():
+    found = {cls for mod in (grflop.homog, grflop.total_space, grflop.exceptional,
+                             grflop.filtered, grflop.stability)
+             for cls in vars(mod).values()
+             if isinstance(cls, type) and issubclass(cls, Value) and cls is not Value}
+    assert found == set(FACTORIES)
+
+
+@pytest.mark.parametrize("cls", list(FACTORIES), ids=lambda cls: cls.__name__)
+def test_value_semantics(cls):
+    a, b = FACTORIES[cls](), FACTORIES[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    if cls is SuiteItem:  # its details are a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+    # A different class never compares equal, not even with the same fields.
+    twin = object.__new__(type("Twin", (Value,), {"__slots__": cls.__slots__}))
+    for name in cls.__slots__:
+        object.__setattr__(twin, name, getattr(a, name))
+    assert a != twin and twin != a
+    assert a != tuple(getattr(a, name) for name in cls.__slots__)
+
+    first = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, first, None)
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+    if cls.__repr__ is Value.__repr__:
+        fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls.__slots__)
+        assert repr(a) == f"{cls.__name__}({fields})"
+
+    assert copy.copy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_repr_form():
+    assert repr(Violation("strongness", 0, 1, 2, 3)) == \
+        "Violation(kind='strongness', source=0, target=1, degree=2, dim=3)"
+    assert repr(FlagVariety(5, (2,))) == "FlagVariety(n=5, dims=(2,))"
+
+
+def test_validation_moved_into_init():
+    assert ConeProblem(("q2", "q1", "q2"), "minus").supports == ("q1", "q2")
+    assert HomogeneousBundle(GR35, [[1, 0, 0], [0, 0]]).blocks == ((1, 0, 0), (0, 0))
+    assert HomogeneousBundle(GR35, ((0, 0, 0), (0, 0))).mult == 1
+    with pytest.raises(ValueError, match="multiplicity must be positive"):
+        HomogeneousBundle(GR35, ((0, 0, 0), (0, 0)), mult=0)
+    with pytest.raises(ValueError, match="invalid subspace dimensions"):
+        FlagVariety(5, (3, 2))
+    with pytest.raises(ValueError, match="empty collection"):
+        ExceptionalCollection("none", GR35, ())
+
+
+def test_report_defaults_are_not_shared():
+    a, b = Report("a"), Report("b")
+    a.add("c", "info")
+    assert b.checks == [] and b.input_echo == {}
+    assert Report("c", input_echo={"x": 1}, checks=[]).input_echo == {"x": 1}
