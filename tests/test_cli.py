@@ -452,3 +452,67 @@ def test_argv_fuzz_exit_codes(drawn):
     assert "Traceback" not in err.getvalue()
     failed = report is not None and report["summary"]["fail"] > 0
     assert (code == EXIT_FAIL) == failed, argv
+
+
+# ------------------------------------------------------------ pinned output
+
+# md5 of f"{exit code}\n{stdout}" for one fixed argv per leaf command (with
+# `--json -` where the command takes it, so the report bytes are pinned too)
+# and for each `--help` screen.  A change to any table, report, exit code or
+# help text shows here.
+_PINNED = {
+    "lr mult 2,1 2,1": "7ac87b6ac6539716049f9a614f54c799",
+    "lr coeff 3,2,1 2,1 2,1": "90efcbdd060b82f5dc62fccef6b5e21d",
+    "weyl dim 2,1,0 3": "47663ca0ae4c4c901fd185a50ceab798",
+    "bwb cohom gr(2,5) u=[0,0] q=[3,3,3] --json -": "5f95be3b22d2f5294eb9bc44b6cf431b",
+    "ext-total --model xminus --left o --right o --json -": "73a4d6f4fe67b86ef0ef39a46338bf9e",
+    "tilting check --window spade --json -": "c4ad92d83fa26dcf98b03d499c773f16",
+    "suite minus-vanishing --json -": "435afd0dc8987fbecec80d15374ff3f5",
+    "euler compare --star heart --max-l 2 --json -": "2d0eb5991dfb5cda91d637c1486a2412",
+    "windows enumerate --side plus --w=-7,-4,-1 --json -": "f911b24d98fe81f935bf653c0912adf6",
+    "windows member --chi 1,1,0 --side minus --w=-7,-5,-2 --json -":
+        "348577509118b548ca0bbebc29c4ea56",
+    "kn solve --character minus --support q2,q3 --json -": "1561d27ab151e420415ce3b824e3f3cb",
+    "kn strata --side minus --json -": "862600cfb4b472520a76a038293cde62",
+    "collections check --name prop31-1 --json -": "a4982b33c4c52cfdcd0acbc2f1543ca8",
+    "collections resolve --name lascoux-1 --twists=-2..2 --json -":
+        "53da8e82517734b0986477cdcea34fcf",
+    "verify-all --json -": "cc746f95ddded636d23cf699c9214bce",
+    "--help": "fad648d0e6ab18bc76b052752c37eb14",
+    "lr --help": "d0ce6ebc9291b0bbe08fc6d6c7823fcc",
+    "weyl --help": "0409e250f2dd5e435a378f98992f4d19",
+    "bwb --help": "7355fa1c9d8448bdc15a56a25c7a5e61",
+    "ext-total --help": "dff419933f7351a8efe695858964d1aa",
+    "tilting --help": "cd2ca205d5566842136f20ccbc7a51dc",
+    "suite --help": "0803ebdb3f875fd42c38bf08703b5343",
+    "euler --help": "fe8fee1485c3f6b8aa161b5ac87c30cc",
+    "windows --help": "de441ebdb3376c36d265539d1f4468a0",
+    "kn --help": "76eefa6fdcf8031367393a424ca17cca",
+    "collections --help": "ff9c17c1f82b068e67c83d813d836a50",
+    "verify-all --help": "dd1215382173b2e4aa5e3047a0242a48",
+    "lr mult --help": "755c8ed37d4acb601da4c1ee8259a5bc",
+    "lr coeff --help": "57dfadbecf8fad5d2ecad3af00066c11",
+    "weyl dim --help": "d15534365e4dee767601982a997c5110",
+    "bwb cohom --help": "d183e7aae01ad2c65a468353f68a818f",
+    "tilting check --help": "bd4f38a9bd81ca619fcbbf55ddafedfe",
+    "suite minus-vanishing --help": "2ed32e9fc7d04904eccca87f245536ff",
+    "euler compare --help": "21787c8cd6818c1d0305f0c82093890a",
+    "windows enumerate --help": "9e486329a238ca4e963bce1cca58eaf8",
+    "windows member --help": "1ef365386ce628be88f5ac2f787cf780",
+    "kn solve --help": "d57157e3a934e66ee6db73d1a2120855",
+    "kn strata --help": "b46ad1c43d10d389348a30a91e300f5b",
+    "collections check --help": "4f6722d9b5c1625b18138a44a8a4cc41",
+    "collections resolve --help": "60321fe2fbc73aa5d2cb5432b8d5959d",
+}
+
+
+@pytest.mark.parametrize("line", sorted(_PINNED))
+def test_pinned_output(line, capsys, monkeypatch):
+    """Exit code and stdout, byte for byte, of fixed command lines."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(line.split())
+    except SystemExit as exc:
+        code = exc.code
+    text = f"{code}\n{capsys.readouterr().out}"
+    assert hashlib.md5(text.encode()).hexdigest() == _PINNED[line]
