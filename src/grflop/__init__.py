@@ -10,7 +10,7 @@ from .homog import (BundleSum, Cohomology, FlagVariety, GR25, GR35, FL235,
 from .partitions import (WeightedSum, gl_tensor, lr_coefficient, lr_mult,
                          shift, weyl_dim)
 from .total_space import (XMINUS, XPLUS, TotalSpaceModel, ext_table,
-                          is_pretilting, pushforward_term, stable_cutoff)
+                          is_pretilting, stable_cutoff)
 from .filtered import (FilteredBundle, core_extension, graded_euler,
                        schur_filtered, vanishing_suite, window_bundle)
 from .stability import (ConeProblem, KNSolution, hl_enumerate, hl_membership,
@@ -28,7 +28,7 @@ __all__ = [
     "core_extension", "ext_table", "gl_tensor", "graded_euler",
     "hl_enumerate", "hl_membership", "is_pretilting", "kn_adapted",
     "kn_stratification", "line_bundle", "lr_coefficient", "lr_mult",
-    "pushforward_term", "schur_filtered", "schur_sub_dual", "shift",
+    "schur_filtered", "schur_sub_dual", "shift",
     "stable_cutoff", "structure_sheaf", "vanishing_suite", "weyl_dim",
     "window_bundle",
 ]

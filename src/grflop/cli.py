@@ -1,9 +1,10 @@
 """Command-line frontend.
 
-Exit codes: 0 for success (or a pure query), 1 when a verification check
-fails, 2 for usage errors, 3 for an internal error (a bug; one line on stderr,
-no traceback).  ``--json PATH`` writes the machine-readable report; tables go
-to stdout either way.
+Every leaf command is one row of ``COMMANDS``.  Its handler prints a table and
+returns a Report (None for a pure query); ``_dispatch`` writes the report for
+``--json PATH`` and picks the exit code.  Exit codes: 0 for success (or a pure
+query), 1 exactly when the report has a failed check, 2 for usage errors, 3
+for an internal error (a bug; one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ LEVEL_MAX = 100
 # steeply with the number of boxes: the worst shapes found take about a second
 # at 36 boxes and two at 40.
 LR_MAX_BOXES = 36
+# `collections resolve` checks each twist of `--twists` separately, about
+# 0.15 ms apiece: 1,000 twists take about half a second as a whole process.
+TWISTS_MAX = 1000
 
 
 def _weight_arg(text: str) -> tuple[int, ...]:
@@ -95,14 +99,17 @@ class _LRBoxes(argparse.Action):
 def _twists_arg(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        twists = range(int(lo), int(hi if sep else lo) + 1)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected lo..hi or one integer, got {text!r}") from exc
-    if not twists:
+    if lo > hi:
         raise argparse.ArgumentTypeError(
             f"empty twist range {text!r}; expected lo..hi with lo <= hi")
-    return twists
+    if hi - lo >= TWISTS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"at most {TWISTS_MAX} twists, got {hi - lo + 1}")
+    return range(lo, hi + 1)
 
 
 def _cutoff_arg(text: str):
@@ -137,62 +144,36 @@ def _resolve_set(name: str, sets_path: str | None, base) -> BundleSum:
                      f"o, {', '.join(data.WINDOW_NAMES)}, kapranov")
 
 
-def _emit(report: Report, json_path: str | None) -> None:
-    if json_path:
-        text = report.to_json_text()
-        if json_path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+def _cmd_lr_mult(args) -> None:
+    for w, c in lr_mult(as_partition(args.lam), as_partition(args.mu)):
+        print(f"{c}  {list(w)}")
 
 
-def _finish(report: Report, json_path: str | None) -> int:
-    _emit(report, json_path)
-    if report.failed:
-        print(f"FAIL ({len(report.failed)} of {len(report.checks)} checks)")
-        return EXIT_FAIL
-    print(f"OK ({len(report.checks)} checks)")
-    return EXIT_OK
+def _cmd_lr_coeff(args) -> None:
+    print(lr_coefficient(as_partition(args.nu), as_partition(args.lam),
+                         as_partition(args.mu)))
 
 
-def _fmt_cohomology(c) -> str:
-    if c.is_acyclic:
-        return "acyclic"
-    return f"degree {c.degree}, weight {list(c.weight)}, dim {c.dim}"
-
-
-def _cmd_lr(args) -> int:
-    if args.action == "mult":
-        result = lr_mult(as_partition(args.lam), as_partition(args.mu))
-        for w, c in result:
-            print(f"{c}  {list(w)}")
-    else:
-        print(lr_coefficient(as_partition(args.nu), as_partition(args.lam),
-                             as_partition(args.mu)))
-    return EXIT_OK
-
-
-def _cmd_weyl(args) -> int:
+def _cmd_weyl(args) -> None:
     print(weyl_dim(as_weight(args.lam), args.m))
-    return EXIT_OK
 
 
-def _cmd_bwb(args) -> int:
+def _cmd_bwb(args) -> Report:
     bundle = parse_bundle(" ".join(args.bundle))
     c = bundle.cohomology()
-    print(f"{bundle.literal()}")
-    print(_fmt_cohomology(c))
-    if args.json:
-        report = Report("bwb cohom", {"bundle": bundle.literal()})
-        payload = {"acyclic": True} if c.is_acyclic else \
-            {"acyclic": False, "degree": c.degree, "weight": list(c.weight), "dim": c.dim}
-        report.add("cohomology", "info", payload)
-        _emit(report, args.json)
-    return EXIT_OK
+    print(bundle.literal())
+    if c.is_acyclic:
+        print("acyclic")
+        payload = {"acyclic": True}
+    else:
+        print(f"degree {c.degree}, weight {list(c.weight)}, dim {c.dim}")
+        payload = {"acyclic": False, "degree": c.degree, "weight": list(c.weight), "dim": c.dim}
+    report = Report("bwb cohom", {"bundle": bundle.literal()})
+    report.add("cohomology", "info", payload)
+    return report
 
 
-def _cmd_ext_total(args) -> int:
+def _cmd_ext_total(args) -> Report:
     model = MODELS[args.model]
     left = _resolve_set(args.left, args.sets, model.base)
     right = _resolve_set(args.right, args.sets, model.base)
@@ -205,52 +186,51 @@ def _cmd_ext_total(args) -> int:
     report = Report("ext-total", {"model": args.model, "left": args.left,
                                   "right": args.right, "cutoff": str(args.cutoff)})
     report.add("ext-table", "info", table)
-    _emit(report, args.json)
-    return EXIT_OK
+    return report
 
 
-def _cmd_tilting(args) -> int:
-    bundle = data.window_sum_plus(args.window)
-    result = is_pretilting(MODELS[args.model], bundle)
-    report = Report("tilting check", {"model": args.model, "window": args.window})
-    report.add_bool(f"tilting-{args.model}-{args.window}", result.ok, result)
+def _cmd_tilting(args) -> Report:
+    result = is_pretilting(MODELS[args.model], data.window_sum_plus(args.window))
     status = "pretilting" if result.ok else "NOT pretilting"
     print(f"window {args.window} on {args.model}: {status} "
           f"(certified cutoff {result.table.cutoff})")
-    for level, bundle_, degree, dim in result.witnesses:
-        print(f"  witness: level {level}, {bundle_.literal()}, degree {degree}, dim {dim}")
-    return _finish(report, args.json)
+    for level, bundle, degree, dim in result.witnesses:
+        print(f"  witness: level {level}, {bundle.literal()}, degree {degree}, dim {dim}")
+    report = Report("tilting check", {"model": args.model, "window": args.window})
+    report.add_bool(f"tilting-{args.model}-{args.window}", result.ok, result)
+    return report
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> Report:
     report = Report("suite minus-vanishing")
     for item in vanishing_suite():
         report.add_bool(item.check_id, item.passed, item.details)
         print(f"{'PASS' if item.passed else 'FAIL'}  {item.check_id}: {item.description}")
-    return _finish(report, args.json)
+    return report
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args) -> Report:
     result = euler_cross_check(args.star, args.max_l)
-    report = Report("euler compare", {"star": args.star, "max_l": args.max_l})
-    report.add_bool(f"euler-cross-{args.star}",
-                    result["equal"] and not result["plus_has_higher"], result)
     print(f"window {args.star}, levels 0..{args.max_l}")
     print(f"  minus side: {result['minus']}")
     print(f"  plus side:  {result['plus']}")
-    return _finish(report, args.json)
+    report = Report("euler compare", {"star": args.star, "max_l": args.max_l})
+    report.add_bool(f"euler-cross-{args.star}",
+                    result["equal"] and not result["plus_has_higher"], result)
+    return report
 
 
-def _cmd_windows(args) -> int:
-    if args.action == "enumerate":
-        weights = hl_enumerate(args.w, args.side)
-        for chi in weights:
-            print(list(chi))
-        print(f"{len(weights)} weights")
-        report = Report("windows enumerate", {"side": args.side, "w": list(args.w)})
-        report.add("weights", "info", [list(x) for x in weights])
-        _emit(report, args.json)
-        return EXIT_OK
+def _cmd_windows_enumerate(args) -> Report:
+    weights = hl_enumerate(args.w, args.side)
+    for chi in weights:
+        print(list(chi))
+    print(f"{len(weights)} weights")
+    report = Report("windows enumerate", {"side": args.side, "w": list(args.w)})
+    report.add("weights", "info", [list(x) for x in weights])
+    return report
+
+
+def _cmd_windows_member(args) -> Report:
     membership = hl_membership(args.chi, args.w, args.side)
     print("member" if membership.member else "not a member")
     for reason in membership.failed:
@@ -259,65 +239,141 @@ def _cmd_windows(args) -> int:
                                        "chi": list(args.chi)})
     report.add("membership", "info", {"member": membership.member,
                                       "failed": list(membership.failed)})
-    _emit(report, args.json)
-    return EXIT_OK
+    return report
 
 
-def _cmd_kn(args) -> int:
-    if args.action == "solve":
-        supports = tuple(s for s in args.support.split(",") if s) if args.support else ()
-        problem = ConeProblem(supports, args.character)
-        solution = kn_adapted(problem)
-        if solution.destabilizing:
-            print(f"value_sq = {solution.value_sq} "
-                  f"(M = -sqrt({solution.value_sq})), minimizer {list(solution.minimizer)}")
-        else:
-            print("nonnegative (no destabilizing direction)")
-        report = Report("kn solve", {"character": args.character,
-                                     "support": list(supports)})
-        report.add("solution", "info", solution)
-        _emit(report, args.json)
-        return EXIT_OK
+def _cmd_kn_solve(args) -> Report:
+    supports = tuple(s for s in args.support.split(",") if s)
+    solution = kn_adapted(ConeProblem(supports, args.character))
+    if solution.destabilizing:
+        print(f"value_sq = {solution.value_sq} "
+              f"(M = -sqrt({solution.value_sq})), minimizer {list(solution.minimizer)}")
+    else:
+        print("nonnegative (no destabilizing direction)")
+    report = Report("kn solve", {"character": args.character, "support": list(supports)})
+    report.add("solution", "info", solution)
+    return report
+
+
+def _cmd_kn_strata(args) -> Report:
     report = Report("kn strata", {"side": args.side})
     try:
         strata = kn_stratification(args.side)
     except AssertionError as exc:
         report.add("strata", "fail", {"error": str(exc)})
         print(f"FAIL: {exc}")
-        _emit(report, args.json)
-        return EXIT_FAIL
+        return report
     for s in strata:
         print(f"M^2 = {s.value_sq}, weight {list(s.weight)}  ({s.description})")
-    report.add("strata", "info", [s for s in strata])
-    _emit(report, args.json)
-    return EXIT_OK
+    report.add("strata", "info", list(strata))
+    return report
 
 
-def _cmd_collections(args) -> int:
-    if args.action == "check":
-        rep = check_collection(builtin_collection(args.name))
-        report = Report("collections check", {"name": args.name})
-        report.add_bool(f"collection-{args.name}", rep.passed, rep)
-        print(f"collection {args.name}: {'passes' if rep.passed else 'FAILS'} "
-              f"({len(rep.collection.objects)} objects)")
-        for v in rep.violations:
-            print(f"  {v.kind}: objects ({v.source} -> {v.target}), "
-                  f"degree {v.degree}, dim {v.dim}")
-        return _finish(report, args.json)
+def _cmd_collections_check(args) -> Report:
+    rep = check_collection(builtin_collection(args.name))
+    print(f"collection {args.name}: {'passes' if rep.passed else 'FAILS'} "
+          f"({len(rep.collection.objects)} objects)")
+    for v in rep.violations:
+        print(f"  {v.kind}: objects ({v.source} -> {v.target}), "
+              f"degree {v.degree}, dim {v.dim}")
+    report = Report("collections check", {"name": args.name})
+    report.add_bool(f"collection-{args.name}", rep.passed, rep)
+    return report
+
+
+def _cmd_collections_resolve(args) -> Report:
     rep = check_resolution(builtin_resolution(args.name), args.twists)
+    print(f"resolution {args.name}: rank sum {rep.rank_sum}, "
+          f"euler sums {[s for _, s in rep.euler_sums]}")
     report = Report("collections resolve", {"name": args.name,
                                             "twists": [args.twists[0], args.twists[-1]]})
     report.add_bool(f"resolution-{args.name}", rep.passed, rep)
-    print(f"resolution {args.name}: rank sum {rep.rank_sum}, "
-          f"euler sums {[s for _, s in rep.euler_sums]}")
-    return _finish(report, args.json)
+    return report
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> Report:
     report = verify_all()
     for check in report.checks:
         print(f"{check['status'].upper():4}  {check['id']}")
-    return _finish(report, args.json)
+    return report
+
+
+def _arg(*flags, **kwargs):
+    """One argument spec: the positional and keyword arguments of add_argument."""
+    return flags, kwargs
+
+
+_JSON = _arg("--json")
+_SIDE = _arg("--side", choices=("plus", "minus"), required=True)
+_W = _arg("--w", type=_window_w_arg, required=True, help="w0,w1,w2")
+_LAM = _arg("lam", type=_weight_arg)
+_MU = _arg("mu", type=_weight_arg, action=_LRBoxes,
+           help=f"a partition; |lam| + |mu| is at most {LR_MAX_BOXES}")
+
+_GROUP_HELP = {
+    "lr": "Littlewood-Richardson products",
+    "weyl": "Weyl dimension formula",
+    "bwb": "Bott cohomology of one bundle",
+    "tilting": "pretilting checks",
+    "suite": "fixed verification suites",
+    "euler": "graded Euler characteristics",
+    "windows": "graded-restriction windows",
+    "kn": "Kempf-Ness solver and strata",
+    "collections": "exceptional collections and resolutions",
+}
+
+# One row per leaf command, in help order: (command words, help, argument
+# specs, handler).  A command word before the last names a group in _GROUP_HELP.
+COMMANDS = (
+    (("lr", "mult"), "expand a product of two partitions", (_LAM, _MU), _cmd_lr_mult),
+    (("lr", "coeff"), "one LR coefficient",
+     (_arg("nu", type=_weight_arg), _LAM, _MU), _cmd_lr_coeff),
+    (("weyl", "dim"), "dimension of a GL(m) irreducible",
+     (_LAM,
+      _arg("m", type=_weyl_m_arg, help=f"the rank of GL(m), at most {WEYL_MAX_M}")),
+     _cmd_weyl),
+    (("bwb", "cohom"), "cohomology of a bundle literal",
+     (_arg("bundle", nargs="+", help="bundle literal, e.g. gr(2,5) u=[0,0] q=[3,3,3]"),
+      _JSON), _cmd_bwb),
+    (("ext-total",), "Ext table on a total space",
+     (_arg("--model", choices=sorted(MODELS), required=True),
+      _arg("--left", required=True),
+      _arg("--right", required=True),
+      _arg("--cutoff", type=_cutoff_arg, default="auto",
+           help=f"'auto' or the last fiber level, at most {LEVEL_MAX}"),
+      _arg("--sets", help="bundle-set file defining named sums"),
+      _JSON), _cmd_ext_total),
+    (("tilting", "check"), "self-Ext vanishing of a window bundle",
+     (_arg("--model", choices=("xplus",), default="xplus"),
+      _arg("--window", choices=data.WINDOW_NAMES + ("kapranov",), required=True),
+      _JSON), _cmd_tilting),
+    (("suite", "minus-vanishing"), "minus-side vanishing battery", (_JSON,), _cmd_suite),
+    (("euler", "compare"), "cross-side graded comparison",
+     (_arg("--star", choices=data.WINDOW_NAMES, required=True),
+      _arg("--max-l", type=_level_arg, default=8,
+           help=f"the last fiber level, at most {LEVEL_MAX}"),
+      _JSON), _cmd_euler),
+    (("windows", "enumerate"), "all weights of a window", (_SIDE, _W, _JSON),
+     _cmd_windows_enumerate),
+    (("windows", "member"), "membership of one weight",
+     (_arg("--chi", type=_weight_arg, required=True), _SIDE, _W, _JSON),
+     _cmd_windows_member),
+    (("kn", "solve"), "destabilizing value over a cone",
+     (_arg("--character", choices=sorted(CHARACTERS), required=True),
+      _arg("--support", default="",
+           help=f"comma-separated among {','.join(sorted(TORUS_WEIGHTS))}"),
+      _JSON), _cmd_kn_solve),
+    (("kn", "strata"), "curated group-level strata", (_SIDE, _JSON), _cmd_kn_strata),
+    (("collections", "check"), "exceptional/semiorthogonal/strong checks",
+     (_arg("--name", choices=data.COLLECTION_NAMES, required=True), _JSON),
+     _cmd_collections_check),
+    (("collections", "resolve"), "K-theory witness of a resolution",
+     (_arg("--name", choices=data.RESOLUTION_NAMES, required=True),
+      _arg("--twists", type=_twists_arg, default=range(-3, 4),
+           help="twist range lo..hi (default -3..3)"),
+      _JSON), _cmd_collections_resolve),
+    (("verify-all",), "run the full verification battery", (_JSON,), _cmd_verify_all),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,121 +382,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cohomology of homogeneous bundles on Grassmannians, "
                     "with tilting/window verification suites.")
     parser.add_argument("--version", action="version", version=f"grflop {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson products")
-    lr_sub = p.add_subparsers(dest="action", required=True)
-    mu_help = f"a partition; |lam| + |mu| is at most {LR_MAX_BOXES}"
-    q = lr_sub.add_parser("mult", help="expand a product of two partitions")
-    q.add_argument("lam", type=_weight_arg)
-    q.add_argument("mu", type=_weight_arg, action=_LRBoxes, help=mu_help)
-    q.set_defaults(func=_cmd_lr)
-    q = lr_sub.add_parser("coeff", help="one LR coefficient")
-    q.add_argument("nu", type=_weight_arg)
-    q.add_argument("lam", type=_weight_arg)
-    q.add_argument("mu", type=_weight_arg, action=_LRBoxes, help=mu_help)
-    q.set_defaults(func=_cmd_lr)
-
-    p = sub.add_parser("weyl", help="Weyl dimension formula")
-    weyl_sub = p.add_subparsers(dest="action", required=True)
-    q = weyl_sub.add_parser("dim", help="dimension of a GL(m) irreducible")
-    q.add_argument("lam", type=_weight_arg)
-    q.add_argument("m", type=_weyl_m_arg, help=f"the rank of GL(m), at most {WEYL_MAX_M}")
-    q.set_defaults(func=_cmd_weyl)
-
-    p = sub.add_parser("bwb", help="Bott cohomology of one bundle")
-    bwb_sub = p.add_subparsers(dest="action", required=True)
-    q = bwb_sub.add_parser("cohom", help="cohomology of a bundle literal")
-    q.add_argument("bundle", nargs="+",
-                   help="bundle literal, e.g. gr(2,5) u=[0,0] q=[3,3,3]")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_bwb)
-
-    p = sub.add_parser("ext-total", help="Ext table on a total space")
-    p.add_argument("--model", choices=sorted(MODELS), required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--cutoff", type=_cutoff_arg, default="auto",
-                   help=f"'auto' or the last fiber level, at most {LEVEL_MAX}")
-    p.add_argument("--sets", help="bundle-set file defining named sums")
-    p.add_argument("--json")
-    p.set_defaults(func=_cmd_ext_total)
-
-    p = sub.add_parser("tilting", help="pretilting checks")
-    tilting_sub = p.add_subparsers(dest="action", required=True)
-    q = tilting_sub.add_parser("check", help="self-Ext vanishing of a window bundle")
-    q.add_argument("--model", choices=("xplus",), default="xplus")
-    q.add_argument("--window", choices=data.WINDOW_NAMES + ("kapranov",), required=True)
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_tilting)
-
-    p = sub.add_parser("suite", help="fixed verification suites")
-    suite_sub = p.add_subparsers(dest="action", required=True)
-    q = suite_sub.add_parser("minus-vanishing", help="minus-side vanishing battery")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_suite)
-
-    p = sub.add_parser("euler", help="graded Euler characteristics")
-    euler_sub = p.add_subparsers(dest="action", required=True)
-    q = euler_sub.add_parser("compare", help="cross-side graded comparison")
-    q.add_argument("--star", choices=data.WINDOW_NAMES, required=True)
-    q.add_argument("--max-l", type=_level_arg, default=8,
-                   help=f"the last fiber level, at most {LEVEL_MAX}")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("windows", help="graded-restriction windows")
-    win_sub = p.add_subparsers(dest="action", required=True)
-    q = win_sub.add_parser("enumerate", help="all weights of a window")
-    q.add_argument("--side", choices=("plus", "minus"), required=True)
-    q.add_argument("--w", type=_window_w_arg, required=True, help="w0,w1,w2")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_windows)
-    q = win_sub.add_parser("member", help="membership of one weight")
-    q.add_argument("--chi", type=_weight_arg, required=True)
-    q.add_argument("--side", choices=("plus", "minus"), required=True)
-    q.add_argument("--w", type=_window_w_arg, required=True, help="w0,w1,w2")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_windows)
-
-    p = sub.add_parser("kn", help="Kempf-Ness solver and strata")
-    kn_sub = p.add_subparsers(dest="action", required=True)
-    q = kn_sub.add_parser("solve", help="destabilizing value over a cone")
-    q.add_argument("--character", choices=sorted(CHARACTERS), required=True)
-    q.add_argument("--support", default="",
-                   help=f"comma-separated among {','.join(sorted(TORUS_WEIGHTS))}")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_kn)
-    q = kn_sub.add_parser("strata", help="curated group-level strata")
-    q.add_argument("--side", choices=("plus", "minus"), required=True)
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_kn)
-
-    p = sub.add_parser("collections", help="exceptional collections and resolutions")
-    coll_sub = p.add_subparsers(dest="action", required=True)
-    q = coll_sub.add_parser("check", help="exceptional/semiorthogonal/strong checks")
-    q.add_argument("--name", choices=data.COLLECTION_NAMES, required=True)
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_collections)
-    q = coll_sub.add_parser("resolve", help="K-theory witness of a resolution")
-    q.add_argument("--name", choices=data.RESOLUTION_NAMES, required=True)
-    q.add_argument("--twists", type=_twists_arg, default=range(-3, 4),
-                   help="twist range lo..hi (default -3..3)")
-    q.add_argument("--json")
-    q.set_defaults(func=_cmd_collections)
-
-    p = sub.add_parser("verify-all", help="run the full verification battery")
-    p.add_argument("--json")
-    p.set_defaults(func=_cmd_verify_all)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, specs, handler in COMMANDS:
+        group = words[:-1]
+        if group not in subparsers:
+            subparsers[group] = subparsers[()].add_parser(
+                group[0], help=_GROUP_HELP[group[0]]).add_subparsers(
+                dest="action", required=True)
+        p = subparsers[group].add_parser(words[-1], help=help_text)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _dispatch(args) -> int:
+    """Run the command; write its report for --json; exit 1 exactly when a
+    check failed.  The OK/FAIL line appears when the report has a pass or
+    fail check."""
+    report = args.func(args)
+    if report is None:
+        return EXIT_OK
+    if args.json:
+        text = report.to_json_text()
+        if args.json == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    if report.failed:
+        print(f"FAIL ({len(report.failed)} of {len(report.checks)} checks)")
+        return EXIT_FAIL
+    if any(c["status"] != "info" for c in report.checks):
+        print(f"OK ({len(report.checks)} checks)")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

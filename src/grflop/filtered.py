@@ -263,38 +263,26 @@ def vanishing_suite() -> tuple[SuiteItem, ...]:
     """
     from . import data
     from .total_space import XMINUS, ext_table
-    items: list[SuiteItem] = []
     O = structure_sheaf(GR25)
     sub_dual = schur_sub_dual(GR25, (1, 0))
     sym2 = schur_sub_dual(GR25, (2, 0))
-
-    for k in range(5):
-        table = ext_table(XMINUS, O, line_bundle(GR25, -k), cutoff="auto")
-        items.append(SuiteItem(
-            f"xminus-line-bundle-minus-{k}",
-            f"no higher cohomology of O(-{k}) on the minus total space",
-            not table.any_higher_cohomology,
-            {"l0": table.cutoff}))
-    for k in range(3):
-        table = ext_table(XMINUS, O, schur_sub_dual(GR25, (1, 0), -k), cutoff="auto")
-        items.append(SuiteItem(
-            f"xminus-dual-sub-minus-{k}",
-            f"no higher cohomology of the dual subbundle twisted by -{k}",
-            not table.any_higher_cohomology,
-            {"l0": table.cutoff}))
-    for a in range(3):
-        table = ext_table(XMINUS, sub_dual, schur_sub_dual(GR25, (2, 0), a), cutoff="auto")
-        items.append(SuiteItem(
-            f"xminus-sub-vs-sym2-{a}",
-            f"no higher Ext from the dual subbundle to its symmetric square twisted by {a}",
-            not table.any_higher_cohomology,
-            {"l0": table.cutoff}))
-    table = ext_table(XMINUS, sym2, sym2, cutoff="auto")
-    items.append(SuiteItem(
-        "xminus-sym2-endo",
-        "no higher self-Ext of the symmetric square of the dual subbundle",
-        not table.any_higher_cohomology,
-        {"l0": table.cutoff}))
+    rows = [(f"xminus-line-bundle-minus-{k}",
+             f"no higher cohomology of O(-{k}) on the minus total space",
+             O, line_bundle(GR25, -k)) for k in range(5)]
+    rows += [(f"xminus-dual-sub-minus-{k}",
+              f"no higher cohomology of the dual subbundle twisted by -{k}",
+              O, schur_sub_dual(GR25, (1, 0), -k)) for k in range(3)]
+    rows += [(f"xminus-sub-vs-sym2-{a}",
+              f"no higher Ext from the dual subbundle to its symmetric square twisted by {a}",
+              sub_dual, schur_sub_dual(GR25, (2, 0), a)) for a in range(3)]
+    rows.append(("xminus-sym2-endo",
+                 "no higher self-Ext of the symmetric square of the dual subbundle",
+                 sym2, sym2))
+    items: list[SuiteItem] = []
+    for check_id, description, left, right in rows:
+        table = ext_table(XMINUS, left, right, cutoff="auto")
+        items.append(SuiteItem(check_id, description, not table.any_higher_cohomology,
+                               {"l0": table.cutoff}))
 
     for i, (src, tgt, label) in enumerate(data.GR35_ORTHOGONAL_PAIRS, start=1):
         source = schur_sub_dual(GR35, src)

@@ -18,40 +18,48 @@ class TotalSpaceModel(Value):
     """A vector-bundle total space over a Grassmannian, given by its pushforward rule.
 
     ``term(l)`` is the l-th summand of the pushforward of the structure sheaf.
-    The built-in models are ``xplus`` (over Gr(3,5), fiber dual-tautological
-    twisted by -2) and ``xminus`` (over Gr(2,5), fiber quotient twisted by -2).
-    A custom model may be built from a finite table of terms; certified
-    cutoffs are only available for the built-ins.
+    A model holds either a fiber weight ``(a | b)``, with ``term(l)`` the
+    bundle of blocks ``(l*a | l*b)``, or a finite table of terms.  The built-in
+    models are ``xplus`` (over Gr(3,5), fiber dual-tautological twisted by -2)
+    and ``xminus`` (over Gr(2,5), fiber quotient twisted by -2).  Certified
+    cutoffs are only available for fiber-weight models.
     """
 
-    __slots__ = ("name", "base", "table")
+    __slots__ = ("name", "base", "table", "fiber")
 
     def __init__(self, name: str, base: FlagVariety,
-                 table: tuple[HomogeneousBundle, ...] | None = None):
-        super().__init__(name, base, table)
+                 table: tuple[HomogeneousBundle, ...] | None = None,
+                 fiber: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
+        if (table is None) == (fiber is None):
+            raise ValueError(f"model {name!r} needs exactly one of a table and a fiber weight")
+        if fiber is not None:
+            fiber = HomogeneousBundle(base, fiber).blocks
+            a, b = fiber
+            if a[-1] - b[0] != 1:
+                raise ValueError(f"model {name!r}: fiber weight {fiber} has "
+                                 f"a[-1] - b[0] = {a[-1] - b[0]}, not 1")
+        super().__init__(name, base, table, fiber)
 
     def term(self, l: int) -> HomogeneousBundle:
         if l < 0:
             raise ValueError("fiber degree must be nonnegative")
-        if self.table is not None:
+        if self.fiber is None:
             if l >= len(self.table):
                 raise ValueError(f"model {self.name!r} has terms up to {len(self.table) - 1}")
             return self.table[l]
-        if self.name == "xplus":
-            return HomogeneousBundle(self.base, ((2 * l, 2 * l, l), (0, 0)))
-        if self.name == "xminus":
-            return HomogeneousBundle(self.base, ((2 * l, 2 * l), (l, 0, 0)))
-        raise ValueError(f"model {self.name!r} has no term rule")
+        return HomogeneousBundle(self.base, tuple(tuple(l * x for x in block)
+                                                  for block in self.fiber))
 
     def dominance_gap(self, bundle: HomogeneousBundle) -> int:
         """Least l making every summand of bundle (x) term(l') dominant for l' >= l.
 
-        For xplus, term(l) raises the last first-block entry by at least l and
-        fixes the second block; for xminus, the first block rises by exactly 2l
-        while the second block's head rises by at most l.  Either way the gap
-        is mu[0] - lam[-1] for blocks (lam | mu).
+        For blocks (lam | mu), every summand of bundle (x) term(l) has first
+        block ending at least at lam[-1] + l*a[-1] and second block starting at
+        most at mu[0] + l*b[0] (the Littlewood-Richardson bounds).  It is
+        dominant once lam[-1] - mu[0] + l*(a[-1] - b[0]) >= 0, and the
+        constructor's a[-1] - b[0] = 1 makes the gap mu[0] - lam[-1].
         """
-        if self.name not in ("xplus", "xminus"):
+        if self.fiber is None:
             raise ValueError(f"no certified cutoff rule for model {self.name!r}")
         lam, mu = bundle.blocks
         return mu[0] - lam[-1]
@@ -60,13 +68,9 @@ class TotalSpaceModel(Value):
         return self.name
 
 
-XPLUS = TotalSpaceModel("xplus", GR35)
-XMINUS = TotalSpaceModel("xminus", GR25)
+XPLUS = TotalSpaceModel("xplus", GR35, fiber=((2, 2, 1), (0, 0)))
+XMINUS = TotalSpaceModel("xminus", GR25, fiber=((2, 2), (1, 0, 0)))
 MODELS = {"xplus": XPLUS, "xminus": XMINUS}
-
-
-def pushforward_term(model: TotalSpaceModel, l: int) -> HomogeneousBundle:
-    return model.term(l)
 
 
 class CutoffCertificate(Value):

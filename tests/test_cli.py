@@ -17,7 +17,7 @@ import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, LEVEL_MAX,
-                        LR_MAX_BOXES, WEYL_MAX_M, build_parser, main)
+                        LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser, main)
 from grflop.homog import GR35
 from grflop.report import Report
 
@@ -209,6 +209,24 @@ class TestExitCodes:
             main(["lr", "coeff", "--help"])
         assert f"at most {LR_MAX_BOXES}" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("twists", ["0..10000000", f"1..{TWISTS_MAX + 1}",
+                                        f"-{10 ** 40}..{10 ** 40}"])
+    def test_twists_past_limit_refused_before_computing(self, twists, capsys, monkeypatch):
+        """More than TWISTS_MAX twists is a usage error raised before any
+        twist is checked."""
+        monkeypatch.setattr(grflop.cli, "check_resolution",
+                            lambda *args: pytest.fail("check_resolution was called"))
+        with pytest.raises(SystemExit) as err:
+            main(["collections", "resolve", "--name", "lascoux-1", f"--twists={twists}"])
+        assert err.value.code == EXIT_USAGE
+        assert f"argument --twists: at most {TWISTS_MAX} twists, got" in \
+            capsys.readouterr().err
+
+    def test_twists_limit_is_inclusive(self):
+        args = build_parser().parse_args(["collections", "resolve", "--name", "lascoux-1",
+                                          f"--twists=1..{TWISTS_MAX}"])
+        assert args.twists == range(1, TWISTS_MAX + 1)
+
     def test_internal_error_exit(self, capsys, monkeypatch):
         """An exception that is not a usage error is a bug: exit 3 and one
         line on stderr, never a traceback or the check-failed code."""
@@ -228,6 +246,19 @@ class TestExitCodes:
                      "--window", "spade"]) == EXIT_FAIL
         out = capsys.readouterr().out
         assert "NOT pretilting" in out and "witness" in out
+
+    def test_kn_strata_failure_exit(self, tmp_path, capsys, monkeypatch):
+        """A stratum that fails revalidation is a failed check: the FAIL line,
+        exit 1 and a report with one failed check."""
+        corrupted = [dict(r) for r in grflop.data.KN_STRATA["minus"]]
+        corrupted[0]["value_sq"] = (99, 1)
+        monkeypatch.setitem(grflop.data.KN_STRATA, "minus", corrupted)
+        out = tmp_path / "strata.json"
+        assert main(["kn", "strata", "--side", "minus", "--json", str(out)]) == EXIT_FAIL
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL: stratum 'covector vanishes' failed validation")
+        assert lines[1:] == ["FAIL (1 of 1 checks)"]
+        assert json.loads(out.read_text())["summary"] == {"fail": 1, "info": 0, "pass": 0}
 
 
 class TestCommands:

@@ -29,9 +29,11 @@ def brute_lr_coefficient(nu, lam, mu):
     content = [0] * len(mu)
     total = 0
 
-    def lattice_ok():
+    def lattice_ok(rows):
+        """The reading word of the first `rows` rows, each read right to left,
+        is a lattice word."""
         counts = [0] * (len(mu) + 1)
-        for r in range(len(nu)):
+        for r in range(rows):
             for c in range(nu[r] - 1, lam[r] - 1, -1):
                 e = filling[(r, c)]
                 counts[e] += 1
@@ -42,10 +44,13 @@ def brute_lr_coefficient(nu, lam, mu):
     def rec(i):
         nonlocal total
         if i == len(cells):
-            if content == mu and lattice_ok():
+            if content == mu and lattice_ok(len(nu)):
                 total += 1
             return
         r, c = cells[i]
+        # The rows above are complete, and a prefix of a lattice word is one.
+        if c == lam[r] and not lattice_ok(r):
+            return
         left = filling.get((r, c - 1))
         up = filling.get((r - 1, c))
         for e in range(1, len(mu) + 1):

@@ -6,24 +6,24 @@ from grflop import data, total_space
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.total_space import (MODELS, XMINUS, XPLUS, ext_table,
-                                is_pretilting, pushforward_term, stable_cutoff)
+                                is_pretilting, stable_cutoff)
 
 
 class TestPushforwardTerms:
     def test_level_zero_is_structure_sheaf(self):
-        assert pushforward_term(XPLUS, 0) == structure_sheaf(GR35)
-        assert pushforward_term(XMINUS, 0) == structure_sheaf(GR25)
+        assert XPLUS.term(0) == structure_sheaf(GR35)
+        assert XMINUS.term(0) == structure_sheaf(GR25)
 
     def test_plus_terms(self):
-        assert pushforward_term(XPLUS, 1).blocks == ((2, 2, 1), (0, 0))
-        assert pushforward_term(XPLUS, 3).blocks == ((6, 6, 3), (0, 0))
+        assert XPLUS.term(1).blocks == ((2, 2, 1), (0, 0))
+        assert XPLUS.term(3).blocks == ((6, 6, 3), (0, 0))
 
     def test_minus_terms(self):
-        assert pushforward_term(XMINUS, 2).blocks == ((4, 4), (2, 0, 0))
+        assert XMINUS.term(2).blocks == ((4, 4), (2, 0, 0))
 
     def test_negative_level(self):
         with pytest.raises(ValueError):
-            pushforward_term(XPLUS, -1)
+            XPLUS.term(-1)
 
 
 class TestStableCutoff:
@@ -139,9 +139,9 @@ class TestPretilting:
 class TestCustomModel:
     def test_table_model(self):
         from grflop.total_space import TotalSpaceModel
-        table = tuple(pushforward_term(XPLUS, l) for l in range(3))
+        table = tuple(XPLUS.term(l) for l in range(3))
         custom = TotalSpaceModel("custom", GR35, table)
-        assert custom.term(2) == pushforward_term(XPLUS, 2)
+        assert custom.term(2) == XPLUS.term(2)
         o = structure_sheaf(GR35)
         ours = ext_table(custom, o, o, cutoff=2)
         builtin = ext_table(XPLUS, o, o, cutoff=2)
@@ -152,3 +152,16 @@ class TestCustomModel:
             stable_cutoff(custom, o, o)
         with pytest.raises(ValueError, match="no certified cutoff rule for model 'custom'"):
             ext_table(custom, o, o, "auto")
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"table": (structure_sheaf(GR35),), "fiber": ((2, 2, 1), (0, 0))},
+        {"fiber": ((2, 2, 2), (0, 0))},
+        {"fiber": ((1, 1, 0), (0, 0))},
+    ])
+    def test_refuses_uncertifiable_model(self, kwargs):
+        """Exactly one of a table and a fiber weight, and a fiber weight with
+        a[-1] - b[0] = 1, the condition the dominance gap rests on."""
+        from grflop.total_space import TotalSpaceModel
+        with pytest.raises(ValueError, match="model 'bad'"):
+            TotalSpaceModel("bad", GR35, **kwargs)
