@@ -4,12 +4,15 @@ Every leaf command is one row of ``COMMANDS``.  Its handler prints a table and
 returns a Report (None for a pure query); ``_dispatch`` writes the report for
 ``--json PATH`` and picks the exit code.  Exit codes: 0 for success (or a pure
 query), 1 exactly when the report has a failed check, 2 for usage errors, 3
-for an internal error (a bug; one line on stderr, no traceback).
+for an internal error (a bug; one line on stderr, no traceback), and 141
+(128 + SIGPIPE, as a shell reports for ``yes | head``) when the reader of
+stdout closed it early, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__, data
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 # `weyl dim` takes O(m^2) big-integer products, so a larger m is refused as a
 # usage error instead of running for minutes.
@@ -422,6 +426,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so the flush at exit
+        # cannot raise again.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

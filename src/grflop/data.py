@@ -34,9 +34,6 @@ WINDOW_WEIGHTS: dict[str, tuple[tuple[int, int, int], ...]] = {
 
 WINDOW_NAMES = tuple(WINDOW_WEIGHTS)
 
-# Dual pairing of windows: termwise duals of one window's bundles give the other.
-DUAL_WINDOW = {"spade": "club", "club": "spade", "heart": "diamond", "diamond": "heart"}
-
 # The ten partitions in the 3x2 box; their Schur powers of the dual subbundle
 # pull back to a classical tilting bundle on the plus total space.
 BOX_WEIGHTS_GR35: tuple[tuple[int, int, int], ...] = (

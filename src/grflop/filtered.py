@@ -20,28 +20,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import data
 from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, as_sum,
                     degree_totals, line_bundle, schur_sub_dual, structure_sheaf)
-from .partitions import Weight, as_weight
-from .total_space import XMINUS, TotalSpaceModel
+from .partitions import as_weight
+from .total_space import XMINUS, XPLUS, ext_table
 from .value import Value
-
-
-def _is_per_block_constant(b: HomogeneousBundle) -> bool:
-    return all(len(set(blk)) <= 1 for blk in b.blocks)
-
-
-def _line_combo(space, parts: Sequence[tuple[HomogeneousBundle, int]]) -> HomogeneousBundle:
-    """Integer combination of line bundles, each constant on every block."""
-    sizes = space.block_sizes()
-    totals = [0] * len(sizes)
-    for bundle, coeff in parts:
-        if not _is_per_block_constant(bundle):
-            raise ValueError("line-bundle combination needs per-block-constant weights")
-        for i, blk in enumerate(bundle.blocks):
-            totals[i] += coeff * (blk[0] if blk else 0)
-    blocks = tuple((t,) * s for t, s in zip(totals, sizes))
-    return HomogeneousBundle(space, blocks)
 
 
 class FilteredBundle(Value):
@@ -96,78 +80,28 @@ def core_extension() -> FilteredBundle:
     return FilteredBundle((sub, quot), (1, 0), "ext")
 
 
-def _split_line_rank2(fb: FilteredBundle) -> tuple[HomogeneousBundle, HomogeneousBundle]:
-    """The [line, rank-2] pieces, checking the shape the Schur rule supports."""
-    if len(fb.pieces) != 2 or len(fb.pieces[0]) != 1 or len(fb.pieces[1]) != 1:
-        raise ValueError("expected a two-step filtration with irreducible pieces")
-    if tuple(fb.offsets) != (1, 0):
-        raise ValueError("expected offsets (1, 0) for the [line, rank-2] shape")
-    line = fb.pieces[0].terms[0]
-    rk2 = fb.pieces[1].terms[0]
-    if line.rank() != 1 or rk2.rank() != 2 or line.mult != 1 or rk2.mult != 1:
-        raise ValueError("expected multiplicity-one pieces of ranks 1 and 2")
-    first = rk2.blocks[0]
-    if first[0] - first[1] != 1 or not _is_per_block_constant(line):
-        raise ValueError("rank-2 piece must be a line twist of the dual subbundle")
-    if any(len(set(blk)) > 1 for blk in rk2.blocks[1:]):
-        raise ValueError("rank-2 piece must be a line twist of the dual subbundle")
-    return line, rk2
+def schur_filtered(chi: Iterable[int]) -> FilteredBundle:
+    """Graded pieces of the Schur power S^chi of the core extension E.
 
-
-def _schur_rank2(rk2: HomogeneousBundle, beta: Weight) -> HomogeneousBundle:
-    """S^beta of a rank-2 bundle of the form (dual subbundle) (x) line."""
-    first = rk2.blocks[0]
-    c = first[1]
-    size = beta[0] + beta[1]
-    blocks = ((beta[0] + size * c, beta[1] + size * c),) + tuple(
-        tuple(size * x for x in blk) for blk in rk2.blocks[1:])
-    return HomogeneousBundle(rk2.space, blocks)
-
-
-def _line_power(line: HomogeneousBundle, a: int) -> HomogeneousBundle:
-    return _line_combo(line.space, [(line, a)])
-
-
-def schur_filtered(chi: Iterable[int], fb: FilteredBundle | None = None) -> FilteredBundle:
-    """Graded pieces of the Schur power S^chi of a [rank-1, rank-2] filtered bundle.
-
-    The associated graded of S^chi of an extension 0 -> L -> E -> B -> 0 is
-    the sum of S^a L (x) S^beta B over pairs with chi/beta a horizontal strip
-    of size a; beta has at most two rows for rank reasons, so beta interlaces
-    chi.  Pieces are ordered by descending a (sub to quotient) and carry fiber
-    offset a.  A weight with negative entries is routed through the
-    determinant line det E = L (x) det B, which shifts all offsets equally.
+    The associated graded of S^chi of 0 -> L -> E -> B -> 0 is the sum of
+    S^a L (x) S^beta B over pairs with chi/beta a horizontal strip of size a;
+    B has rank 2, so beta = (b1, b2) interlaces chi.  A weight with negative
+    entries is first shifted by t = max(0, -chi3) and the result tensored
+    with det(E)^-t = O(t).  With L = O(-2) and B the dual subbundle, the
+    piece is S^(b1 - 2a + t, b2 - 2a + t) of the dual subbundle, with fiber
+    offset a - t.  Pieces are ordered by descending a (sub to quotient),
+    then by descending beta.
     """
     chi = as_weight(chi)
     if len(chi) != 3:
         raise ValueError("chi must have length 3")
-    if fb is None:
-        fb = core_extension()
-    line, rk2 = _split_line_rank2(fb)
     t = max(0, -chi[2])
-    chi_p = tuple(x + t for x in chi)
-    det_inv = _line_combo(line.space, [(line, -1), (_schur_rank2(rk2, (1, 1)), -1)])
-
-    graded: list[tuple[int, Weight]] = []
-    for b1 in range(chi_p[1], chi_p[0] + 1):
-        for b2 in range(chi_p[2], chi_p[1] + 1):
-            a = sum(chi_p) - b1 - b2
-            graded.append((a, (b1, b2)))
-    graded.sort(key=lambda ab: (-ab[0], tuple(-x for x in ab[1])))
-
-    pieces: list[BundleSum] = []
-    offsets: list[int] = []
-    for a, beta in graded:
-        piece = _line_power(line, a).tensor(_schur_rank2(rk2, beta))
-        if t:
-            piece = piece.tensor(_line_power(det_inv, t))
-        term = piece.terms
-        if len(term) != 1 or term[0].mult != 1:
-            raise AssertionError("graded piece should be irreducible")
-        pieces.append(BundleSum.of(term[0].space, [term[0]]))
-        offsets.append(a - t)
-    label = f"S^{list(chi)}[{fb.label}]" if fb.label else f"S^{list(chi)}"
-    return FilteredBundle(tuple(pieces), tuple(offsets), label)
+    c0, c1, c2 = (x + t for x in chi)
+    graded = sorted(((c0 + c1 + c2 - b1 - b2, b1, b2)
+                     for b1 in range(c1, c0 + 1) for b2 in range(c2, c1 + 1)), reverse=True)
+    pieces = tuple(BundleSum.of(GR25, [schur_sub_dual(GR25, (b1 - 2 * a, b2 - 2 * a), t)])
+                   for a, b1, b2 in graded)
+    return FilteredBundle(pieces, tuple(a - t for a, _, _ in graded), f"S^{list(chi)}[ext]")
 
 
 def window_bundle(side: str, star: str):
@@ -177,7 +111,6 @@ def window_bundle(side: str, star: str):
     subbundle on Gr(3,5); the minus side returns the corresponding Schur
     powers of the core extension as filtered bundles.
     """
-    from . import data
     if star not in data.WINDOW_WEIGHTS:
         raise ValueError(f"unknown window {star!r}; valid: {', '.join(data.WINDOW_WEIGHTS)}")
     if side == "plus":
@@ -217,9 +150,9 @@ class GradedEuler(Value):
         return {"values": list(self.values)}
 
 
-def graded_euler(left, right, max_l: int = 8,
-                 model: TotalSpaceModel = XMINUS) -> GradedEuler:
-    """Filtration-additive graded Euler characteristic of Ext(left, right).
+def graded_euler(left, right, max_l: int = 8) -> GradedEuler:
+    """Filtration-additive graded Euler characteristic of Ext(left, right) on
+    the minus total space.
 
     chi_l sums, over source pieces p (offset op) and target pieces q (offset
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
@@ -230,16 +163,16 @@ def graded_euler(left, right, max_l: int = 8,
     lhs = _as_pieces(left)
     rhs = _as_pieces(right)
     for p, _ in lhs + rhs:
-        if p.space != model.base:
-            raise ValueError(f"pieces must live on {model.base}")
+        if p.space != GR25:
+            raise ValueError(f"pieces must live on {GR25}")
     by_shift: dict[int, list[HomogeneousBundle]] = {}
     for p, op in lhs:
         dual = p.dual()
         for q, oq in rhs:
             by_shift.setdefault(oq - op, []).extend(dual.tensor(q).terms)
-    sums = [(d, BundleSum.of(model.base, terms)) for d, terms in by_shift.items()]
+    sums = [(d, BundleSum.of(GR25, terms)) for d, terms in by_shift.items()]
     return GradedEuler(tuple(
-        sum(s.tensor(model.term(l + d)).signed_euler() for d, s in sums if l + d >= 0)
+        sum(s.tensor(XMINUS.term(l + d)).signed_euler() for d, s in sums if l + d >= 0)
         for l in range(max_l + 1)))
 
 
@@ -249,10 +182,6 @@ class SuiteItem(Value):
     def __init__(self, check_id: str, description: str, passed: bool, details: dict):
         super().__init__(check_id, description, passed, details)
 
-    def as_json(self) -> dict:
-        return {"id": self.check_id, "description": self.description,
-                "status": "pass" if self.passed else "fail", "details": self.details}
-
 
 def vanishing_suite() -> tuple[SuiteItem, ...]:
     """The fixed battery of minus-side vanishing checks.
@@ -261,8 +190,6 @@ def vanishing_suite() -> tuple[SuiteItem, ...]:
     the complete-orthogonality endpoints on Gr(3,5) that the harder minus-side
     arguments reduce to.
     """
-    from . import data
-    from .total_space import XMINUS, ext_table
     O = structure_sheaf(GR25)
     sub_dual = schur_sub_dual(GR25, (1, 0))
     sym2 = schur_sub_dual(GR25, (2, 0))
@@ -305,8 +232,6 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     graded Hom dimensions level by level; the minus-side filtration-additive
     Euler characteristics must match them exactly.
     """
-    from . import data
-    from .total_space import XPLUS, ext_table
     minus = window_bundle("minus", star)
     chi = graded_euler(list(minus), list(minus), max_l)
     table = ext_table(XPLUS, data.window_sum_plus(star),

@@ -139,9 +139,6 @@ class WeightedSum:
             return 0
         return self._terms.get(key, 0)
 
-    def total(self) -> int:
-        return sum(self._terms.values())
-
     def __iter__(self) -> Iterator[tuple[Weight, int]]:
         return iter(self._terms.items())
 

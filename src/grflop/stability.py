@@ -298,21 +298,27 @@ class Stratum(Value):
         }
 
 
-def kn_stratification(side: str) -> tuple[Stratum, ...]:
+def kn_stratification(side: str,
+                      solutions: Sequence[KNSolution] | None = None) -> tuple[Stratum, ...]:
     """The curated group-level strata, each revalidated through kn_adapted.
 
-    The torus-level stratum with ray (3,-2,-2) on the minus side is absorbed
-    into the (1,0,-2) group stratum and is deliberately not listed.
+    ``solutions`` holds kn_adapted's answer for each record of
+    ``data.KN_STRATA[side]``, in order, from a caller that has solved them
+    already; without it each record is solved here.  The torus-level stratum
+    with ray (3,-2,-2) on the minus side is absorbed into the (1,0,-2) group
+    stratum and is deliberately not listed.
     """
     from . import data
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
+    records = data.KN_STRATA[side]
+    problems = [ConeProblem(record["supports"], record["character"]) for record in records]
+    if solutions is None:
+        solutions = [kn_adapted(problem) for problem in problems]
     out = []
-    for record in data.KN_STRATA[side]:
-        problem = ConeProblem(record["supports"], record["character"])
+    for record, problem, solved in zip(records, problems, solutions):
         expected_sq = Fraction(*record["value_sq"])
         expected_ray = tuple(record["weight"])
-        solved = kn_adapted(problem)
         if solved.value_sq != expected_sq or solved.minimizer != expected_ray:
             raise AssertionError(
                 f"stratum {record['description']!r} failed validation: "

@@ -15,38 +15,28 @@ from .value import Value
 
 
 class TotalSpaceModel(Value):
-    """A vector-bundle total space over a Grassmannian, given by its pushforward rule.
+    """A vector-bundle total space over a Grassmannian, given by its fiber weight.
 
-    ``term(l)`` is the l-th summand of the pushforward of the structure sheaf.
-    A model holds either a fiber weight ``(a | b)``, with ``term(l)`` the
-    bundle of blocks ``(l*a | l*b)``, or a finite table of terms.  The built-in
-    models are ``xplus`` (over Gr(3,5), fiber dual-tautological twisted by -2)
-    and ``xminus`` (over Gr(2,5), fiber quotient twisted by -2).  Certified
-    cutoffs are only available for fiber-weight models.
+    ``term(l)``, the l-th summand of the pushforward of the structure sheaf,
+    is the bundle of blocks ``(l*a | l*b)`` for the fiber weight ``(a | b)``.
+    The built-in models are ``xplus`` (over Gr(3,5), fiber dual-tautological
+    twisted by -2) and ``xminus`` (over Gr(2,5), fiber quotient twisted by -2).
     """
 
-    __slots__ = ("name", "base", "table", "fiber")
+    __slots__ = ("name", "base", "fiber")
 
     def __init__(self, name: str, base: FlagVariety,
-                 table: tuple[HomogeneousBundle, ...] | None = None,
-                 fiber: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
-        if (table is None) == (fiber is None):
-            raise ValueError(f"model {name!r} needs exactly one of a table and a fiber weight")
-        if fiber is not None:
-            fiber = HomogeneousBundle(base, fiber).blocks
-            a, b = fiber
-            if a[-1] - b[0] != 1:
-                raise ValueError(f"model {name!r}: fiber weight {fiber} has "
-                                 f"a[-1] - b[0] = {a[-1] - b[0]}, not 1")
-        super().__init__(name, base, table, fiber)
+                 fiber: tuple[tuple[int, ...], tuple[int, ...]]):
+        fiber = HomogeneousBundle(base, fiber).blocks
+        a, b = fiber
+        if a[-1] - b[0] != 1:
+            raise ValueError(f"model {name!r}: fiber weight {fiber} has "
+                             f"a[-1] - b[0] = {a[-1] - b[0]}, not 1")
+        super().__init__(name, base, fiber)
 
     def term(self, l: int) -> HomogeneousBundle:
         if l < 0:
             raise ValueError("fiber degree must be nonnegative")
-        if self.fiber is None:
-            if l >= len(self.table):
-                raise ValueError(f"model {self.name!r} has terms up to {len(self.table) - 1}")
-            return self.table[l]
         return HomogeneousBundle(self.base, tuple(tuple(l * x for x in block)
                                                   for block in self.fiber))
 
@@ -59,8 +49,6 @@ class TotalSpaceModel(Value):
         dominant once lam[-1] - mu[0] + l*(a[-1] - b[0]) >= 0, and the
         constructor's a[-1] - b[0] = 1 makes the gap mu[0] - lam[-1].
         """
-        if self.fiber is None:
-            raise ValueError(f"no certified cutoff rule for model {self.name!r}")
         lam, mu = bundle.blocks
         return mu[0] - lam[-1]
 
@@ -68,8 +56,8 @@ class TotalSpaceModel(Value):
         return self.name
 
 
-XPLUS = TotalSpaceModel("xplus", GR35, fiber=((2, 2, 1), (0, 0)))
-XMINUS = TotalSpaceModel("xminus", GR25, fiber=((2, 2), (1, 0, 0)))
+XPLUS = TotalSpaceModel("xplus", GR35, ((2, 2, 1), (0, 0)))
+XMINUS = TotalSpaceModel("xminus", GR25, ((2, 2), (1, 0, 0)))
 MODELS = {"xplus": XPLUS, "xminus": XMINUS}
 
 

@@ -80,23 +80,22 @@ def _check_windows(report: Report) -> None:
 
 
 def _check_kempf_ness(report: Report) -> None:
-    cases = [(rec["supports"], rec["character"],
-              Fraction(*rec["value_sq"]), tuple(rec["weight"]))
-             for side in ("plus", "minus") for rec in data.KN_STRATA[side]]
-    absorbed = data.KN_ABSORBED_MINUS
-    cases.append((absorbed["supports"], absorbed["character"],
-                  Fraction(*absorbed["value_sq"]), tuple(absorbed["weight"])))
-    for supports, character, value_sq, ray in cases:
-        sol = kn_adapted(ConeProblem(supports, character))
-        ok = sol.value_sq == value_sq and sol.minimizer == ray
+    records = [(side, rec) for side in ("plus", "minus") for rec in data.KN_STRATA[side]]
+    records.append(("absorbed", data.KN_ABSORBED_MINUS))
+    solved: dict[str, list] = {}
+    for side, rec in records:
+        value_sq, ray = Fraction(*rec["value_sq"]), tuple(rec["weight"])
+        sol = kn_adapted(ConeProblem(rec["supports"], rec["character"]))
+        solved.setdefault(side, []).append(sol)
         report.add_bool(
-            f"kn-{character}-{'_'.join(supports)}", ok,
+            f"kn-{rec['character']}-{'_'.join(rec['supports'])}",
+            sol.value_sq == value_sq and sol.minimizer == ray,
             {"expected_value_sq": value_sq, "expected_ray": list(ray), "got": sol})
     for side in ("plus", "minus"):
         try:
-            strata = kn_stratification(side)
+            strata = kn_stratification(side, solved[side])
             report.add(f"kn-strata-{side}", "pass",
-                       {"strata": [s for s in strata]})
+                       {"strata": list(strata)})
         except AssertionError as exc:
             report.add(f"kn-strata-{side}", "fail", {"error": str(exc)})
 

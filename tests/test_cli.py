@@ -16,10 +16,13 @@ from hypothesis import event, given, settings, strategies as st
 import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
-from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, LEVEL_MAX,
-                        LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser, main)
+from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
+                        LEVEL_MAX, LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser,
+                        main)
 from grflop.homog import GR35
-from grflop.report import Report
+from grflop.report import Report, encode_value
+from grflop.stability import ConeProblem, kn_adapted
+from grflop.verify import verify_all
 
 
 class TestBundleLiterals:
@@ -259,6 +262,45 @@ class TestExitCodes:
         assert lines[0].startswith("FAIL: stratum 'covector vanishes' failed validation")
         assert lines[1:] == ["FAIL (1 of 1 checks)"]
         assert json.loads(out.read_text())["summary"] == {"fail": 1, "info": 0, "pass": 0}
+
+    def test_verify_all_kn_failure(self, capsys, monkeypatch):
+        """The same corrupted stratum in verify-all: its kn-* check fails with
+        the solver's answer in `got`, kn-strata-minus fails with the error
+        `kn strata` prints, and kn-strata-plus still passes."""
+        corrupted = [dict(r) for r in grflop.data.KN_STRATA["minus"]]
+        corrupted[0]["value_sq"] = (99, 1)
+        monkeypatch.setitem(grflop.data.KN_STRATA, "minus", corrupted)
+        checks = {c["id"]: c for c in verify_all().checks}
+        record = corrupted[0]
+        kn = checks[f"kn-{record['character']}-{'_'.join(record['supports'])}"]
+        assert kn["status"] == "fail"
+        solved = kn_adapted(ConeProblem(record["supports"], record["character"]))
+        assert kn["payload"]["got"] == encode_value(solved)
+        assert solved.value_sq != 99
+
+        capsys.readouterr()
+        assert main(["kn", "strata", "--side", "minus"]) == EXIT_FAIL
+        printed = capsys.readouterr().out.splitlines()[0]
+        strata = checks["kn-strata-minus"]
+        assert strata["status"] == "fail"
+        assert printed == f"FAIL: {strata['payload']['error']}"
+        assert checks["kn-strata-plus"]["status"] == "pass"
+
+    def test_closed_stdout_exit(self):
+        """A reader that closes stdout early gets exit 141 and nothing on
+        stderr.  The output (about 111 KB) overfills a 64 KiB pipe buffer,
+        so the write meets the closed pipe whatever the timing."""
+        src = str(Path(grflop.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grflop.cli", "ext-total", "--model", "xplus",
+             "--left", "spade", "--right", "spade", "--json", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_PIPE == 141
+        assert err == b""
 
 
 class TestCommands:

@@ -5,15 +5,40 @@ import pytest
 from grflop.filtered import (FilteredBundle, _as_pieces, core_extension,
                              euler_cross_check, graded_euler, schur_filtered,
                              vanishing_suite, window_bundle)
-from grflop.homog import (GR25, BundleSum, line_bundle, schur_sub_dual,
+from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.partitions import weyl_dim
-from grflop.total_space import XMINUS, XPLUS, TotalSpaceModel
+from grflop.total_space import XMINUS
 from grflop import data
 
 
 def piece_blocks(fb):
     return [tuple(t.blocks[0] for t in p) for p in fb.pieces]
+
+
+def _line_power(line, a):
+    """line^(x)a as a one-term sum, by repeated tensor products."""
+    out = BundleSum.of(GR25, [structure_sheaf(GR25)])
+    for _ in range(abs(a)):
+        out = out.tensor(line if a > 0 else line.dual())
+    return out
+
+
+def schur_filtered_by_tensors(chi):
+    """Reference for schur_filtered: each graded piece is the tensor product
+    L^a (x) S^beta B (x) det(E)^-t of the pieces L, B of core_extension(),
+    with det(E) = L (x) S^(1,1) B and chi shifted by t = max(0, -chi3)."""
+    line, rk2 = (p.terms[0] for p in core_extension().pieces)
+    assert rk2 == schur_sub_dual(GR25, (1, 0))  # so S^beta B is schur_sub_dual(beta)
+    det = line.tensor(schur_sub_dual(GR25, (1, 1))).terms[0]
+    t = max(0, -chi[2])
+    c = [x + t for x in chi]
+    graded = [(sum(c) - b1 - b2, (b1, b2))
+              for b1 in range(c[1], c[0] + 1) for b2 in range(c[2], c[1] + 1)]
+    graded.sort(key=lambda ab: (-ab[0], tuple(-x for x in ab[1])))
+    pieces = tuple(_line_power(line, a).tensor(schur_sub_dual(GR25, beta))
+                   .tensor(_line_power(det, -t)) for a, beta in graded)
+    return FilteredBundle(pieces, tuple(a - t for a, _ in graded), f"S^{list(chi)}[ext]")
 
 
 class TestSchurFiltered:
@@ -62,6 +87,20 @@ class TestSchurFiltered:
                     assert schur_filtered(chi).rank() == \
                         weyl_dim(tuple(x + shift for x in chi), 3)
 
+    def test_defining_weight_is_core_extension(self):
+        fb = schur_filtered((1, 0, 0))
+        ext = core_extension()
+        assert (fb.pieces, fb.offsets) == (ext.pieces, ext.offsets)
+
+    def test_closed_form_matches_tensor_construction(self):
+        count = 0
+        for a in range(-6, 7):
+            for b in range(-6, a + 1):
+                for c in range(-6, b + 1):
+                    assert schur_filtered((a, b, c)) == schur_filtered_by_tensors((a, b, c))
+                    count += 1
+        assert count == 455
+
     def test_dual_matches_shifted_weight_up_to_offsets(self):
         """Dualizing pieces and dualizing the weight give the same bundles;
         the two equivariant normalizations differ by a determinant character."""
@@ -100,11 +139,10 @@ class TestGradedEuler:
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
-            graded_euler(structure_sheaf(GR25), structure_sheaf(GR25), 0,
-                         model=XPLUS)
+            graded_euler(structure_sheaf(GR35), structure_sheaf(GR35), 0)
 
 
-def graded_euler_per_pair(left, right, max_l, model=XMINUS):
+def graded_euler_per_pair(left, right, max_l):
     """Reference for graded_euler: every source/target piece pair tensored
     with term(l - op + oq) on its own, with no merging by shift."""
     products = [(op, oq, p.dual().tensor(q))
@@ -116,7 +154,7 @@ def graded_euler_per_pair(left, right, max_l, model=XMINUS):
             t = l - op + oq
             if t < 0:
                 continue
-            total += prod.tensor(model.term(t)).signed_euler()
+            total += prod.tensor(XMINUS.term(t)).signed_euler()
         values.append(total)
     return tuple(values)
 
@@ -144,20 +182,6 @@ class TestGradedEulerOracle:
         right = [schur_filtered((2, 0, 0)), line_bundle(GR25, 1)]
         for a, b in [(left, right), (right, left)]:
             assert graded_euler(a, b, 4).values == graded_euler_per_pair(a, b, 4)
-
-    def test_custom_table(self):
-        """Inside the table the values agree; past its last term both raise
-        the same error."""
-        model = TotalSpaceModel("table3", GR25, tuple(XMINUS.term(l) for l in range(3)))
-        e = core_extension()
-        assert graded_euler(e, e, 1, model).values == \
-            graded_euler_per_pair(e, e, 1, model)
-        with pytest.raises(ValueError) as merged:
-            graded_euler(e, e, 2, model)
-        with pytest.raises(ValueError) as per_pair:
-            graded_euler_per_pair(e, e, 2, model)
-        assert str(merged.value) == str(per_pair.value) == \
-            "model 'table3' has terms up to 2"
 
 
 class TestWindowBundles:

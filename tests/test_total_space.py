@@ -137,31 +137,13 @@ class TestPretilting:
 
 
 class TestCustomModel:
-    def test_table_model(self):
-        from grflop.total_space import TotalSpaceModel
-        table = tuple(XPLUS.term(l) for l in range(3))
-        custom = TotalSpaceModel("custom", GR35, table)
-        assert custom.term(2) == XPLUS.term(2)
-        o = structure_sheaf(GR35)
-        ours = ext_table(custom, o, o, cutoff=2)
-        builtin = ext_table(XPLUS, o, o, cutoff=2)
-        assert ours.level_degree_dims() == builtin.level_degree_dims()
-        with pytest.raises(ValueError):
-            custom.term(3)
-        with pytest.raises(ValueError, match="no certified cutoff rule for model 'custom'"):
-            stable_cutoff(custom, o, o)
-        with pytest.raises(ValueError, match="no certified cutoff rule for model 'custom'"):
-            ext_table(custom, o, o, "auto")
-
     @pytest.mark.parametrize("kwargs", [
-        {},
-        {"table": (structure_sheaf(GR35),), "fiber": ((2, 2, 1), (0, 0))},
         {"fiber": ((2, 2, 2), (0, 0))},
         {"fiber": ((1, 1, 0), (0, 0))},
     ])
     def test_refuses_uncertifiable_model(self, kwargs):
-        """Exactly one of a table and a fiber weight, and a fiber weight with
-        a[-1] - b[0] = 1, the condition the dominance gap rests on."""
+        """A fiber weight needs a[-1] - b[0] = 1, the condition the dominance
+        gap rests on."""
         from grflop.total_space import TotalSpaceModel
         with pytest.raises(ValueError, match="model 'bad'"):
             TotalSpaceModel("bad", GR35, **kwargs)

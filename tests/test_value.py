@@ -1,6 +1,7 @@
 """Value classes: the import contract and the semantics every record shares."""
 
 import copy
+import importlib.util
 import json
 import os
 import pickle
@@ -49,6 +50,32 @@ def test_cli_import_leaves_dataclasses_out():
     assert has_init
 
 
+def _load_perfbench(name):
+    """A perfbench script, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hook_names_resolve():
+    """Every name the benchmark traces or cuts at is still there, so renaming
+    one fails here instead of in a traced benchmark run."""
+    layers, cuts = _load_perfbench("layers"), _load_perfbench("cuts")
+    grflop_modules = [mod for name, mod in sys.modules.items() if name.startswith("grflop.")]
+    before = [dict(vars(mod)) for mod in grflop_modules]
+    tracer = layers.Tracer()
+    with tracer:
+        pass
+    assert set(tracer.spans) == {layers.span_name(e) for e in layers.ENTRY_POINTS}
+    assert [dict(vars(mod)) for mod in grflop_modules] == before
+    for entry in cuts.CUT_POINTS:
+        module, name = entry.split(".")
+        assert callable(getattr(sys.modules[f"grflop.{module}"], name))
+
+
 B = HomogeneousBundle(GR35, ((2, 1, 0), (0, 0)), 2)
 O25 = structure_sheaf(GR25)
 
@@ -58,7 +85,7 @@ FACTORIES = {
     Cohomology: lambda: Cohomology(0, (1, 0, 0, 0, 0), 5),
     HomogeneousBundle: lambda: HomogeneousBundle(GR35, [[2, 1, 0], [0, 0]], 2),
     BundleSum: lambda: BundleSum.of(GR25, [line_bundle(GR25, 1), O25]),
-    TotalSpaceModel: lambda: TotalSpaceModel("custom", GR25, (O25,)),
+    TotalSpaceModel: lambda: TotalSpaceModel("custom", GR25, ((2, 2), (1, 0, 0))),
     CutoffCertificate: lambda: CutoffCertificate(2, B),
     ExtTable: lambda: ext_table(XPLUS, B, B, cutoff=1),
     PretiltingReport: lambda: is_pretilting(XMINUS, O25),
