@@ -138,12 +138,15 @@ class TestPretilting:
 
 class TestCustomModel:
     @pytest.mark.parametrize("kwargs", [
+        {"fiber": ((0, 0, 0), (1, 0))},
+        {"fiber": ((2, 2, 1), (1, 0))},
         {"fiber": ((2, 2, 2), (0, 0))},
         {"fiber": ((1, 1, 0), (0, 0))},
     ])
     def test_refuses_uncertifiable_model(self, kwargs):
         """A fiber weight needs a[-1] - b[0] = 1, the condition the dominance
-        gap rests on."""
+        gap rests on: refused when the difference is negative, when only the
+        second block breaks it, and when it is too large or zero."""
         from grflop.total_space import TotalSpaceModel
         with pytest.raises(ValueError, match="model 'bad'"):
             TotalSpaceModel("bad", GR35, **kwargs)
