@@ -25,7 +25,7 @@ from .partitions import as_partition, as_weight, lr_coefficient, lr_mult, weyl_d
 from .report import Report
 from .stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem, hl_enumerate,
                         hl_membership, kn_adapted, kn_stratification)
-from .total_space import MODELS, ext_table, is_pretilting
+from .total_space import MODELS, ext_table, is_pretilting, stable_cutoff
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -35,11 +35,13 @@ EXIT_INTERNAL = 3
 EXIT_PIPE = 141
 
 # `weyl dim` takes O(m^2) big-integer products, so a larger m is refused as a
-# usage error instead of running for minutes.
+# usage error instead of running for minutes; so is a `bwb cohom` space of
+# ambient dimension n past it, since Bott takes a Weyl dimension for GL(n).
 WEYL_MAX_M = 100
 # `ext-total --cutoff` and `euler compare --max-l` compute one tensor product
 # per fiber level up to this bound, each costlier than the last: level 100
-# takes about a second, level 400 several.
+# takes about a second, level 400 several.  It bounds the certified l0 of
+# `ext-total --cutoff auto` too.
 LEVEL_MAX = 100
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
 # steeply with the number of boxes: the worst shapes found take about a second
@@ -75,18 +77,14 @@ def _nonneg_int_arg(text: str) -> int:
     return v
 
 
-def _level_arg(text: str) -> int:
-    v = _nonneg_int_arg(text)
-    if v > LEVEL_MAX:
-        raise argparse.ArgumentTypeError(f"must be at most {LEVEL_MAX}, got {v}")
-    return v
-
-
-def _weyl_m_arg(text: str) -> int:
-    m = _nonneg_int_arg(text)
-    if m > WEYL_MAX_M:
-        raise argparse.ArgumentTypeError(f"must be at most {WEYL_MAX_M}, got {m}")
-    return m
+def _at_most(limit: int):
+    """An argument type: a nonnegative integer of at most `limit`."""
+    def parse(text: str) -> int:
+        v = _nonneg_int_arg(text)
+        if v > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {v}")
+        return v
+    return parse
 
 
 class _LRBoxes(argparse.Action):
@@ -117,17 +115,7 @@ def _twists_arg(text: str) -> range:
 
 
 def _cutoff_arg(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("cutoff must be 'auto' or an integer") from exc
-    if v < 0:
-        raise argparse.ArgumentTypeError("cutoff must be nonnegative")
-    if v > LEVEL_MAX:
-        raise argparse.ArgumentTypeError(f"cutoff must be at most {LEVEL_MAX}, got {v}")
-    return v
+    return "auto" if text == "auto" else _at_most(LEVEL_MAX)(text)
 
 
 def _resolve_set(name: str, sets_path: str | None, base) -> BundleSum:
@@ -164,6 +152,9 @@ def _cmd_weyl(args) -> None:
 
 def _cmd_bwb(args) -> Report:
     bundle = parse_bundle(" ".join(args.bundle))
+    if bundle.space.n > WEYL_MAX_M:
+        raise ValueError(f"{bundle.space}: ambient n must be at most {WEYL_MAX_M}, "
+                         f"got {bundle.space.n}")
     c = bundle.cohomology()
     print(bundle.literal())
     if c.is_acyclic:
@@ -181,6 +172,11 @@ def _cmd_ext_total(args) -> Report:
     model = MODELS[args.model]
     left = _resolve_set(args.left, args.sets, model.base)
     right = _resolve_set(args.right, args.sets, model.base)
+    if args.cutoff == "auto":
+        l0 = stable_cutoff(model, left, right).l0
+        if l0 > LEVEL_MAX:
+            raise ValueError(f"--cutoff auto: the certified l0 = {l0} is past "
+                             f"the limit of {LEVEL_MAX} fiber levels")
     table = ext_table(model, left, right, args.cutoff)
     print(f"model {model.name}, cutoff {table.cutoff}"
           + (f" (auto, l0={table.certificate.l0})" if table.certificate else ""))
@@ -334,7 +330,7 @@ COMMANDS = (
      (_arg("nu", type=_weight_arg), _LAM, _MU), _cmd_lr_coeff),
     (("weyl", "dim"), "dimension of a GL(m) irreducible",
      (_LAM,
-      _arg("m", type=_weyl_m_arg, help=f"the rank of GL(m), at most {WEYL_MAX_M}")),
+      _arg("m", type=_at_most(WEYL_MAX_M), help=f"the rank of GL(m), at most {WEYL_MAX_M}")),
      _cmd_weyl),
     (("bwb", "cohom"), "cohomology of a bundle literal",
      (_arg("bundle", nargs="+", help="bundle literal, e.g. gr(2,5) u=[0,0] q=[3,3,3]"),
@@ -354,7 +350,7 @@ COMMANDS = (
     (("suite", "minus-vanishing"), "minus-side vanishing battery", (_JSON,), _cmd_suite),
     (("euler", "compare"), "cross-side graded comparison",
      (_arg("--star", choices=data.WINDOW_NAMES, required=True),
-      _arg("--max-l", type=_level_arg, default=8,
+      _arg("--max-l", type=_at_most(LEVEL_MAX), default=8,
            help=f"the last fiber level, at most {LEVEL_MAX}"),
       _JSON), _cmd_euler),
     (("windows", "enumerate"), "all weights of a window", (_SIDE, _W, _JSON),

@@ -73,23 +73,14 @@ def check_collection(coll: ExceptionalCollection) -> CollectionReport:
     """
     violations: list[Violation] = []
     n = len(coll.objects)
-    for a in range(n):
-        exts = ext_groups(coll.objects[a], coll.objects[a])
-        if exts.get(0, 0) != 1:
-            violations.append(Violation("exceptional", a, a, 0, exts.get(0, 0)))
-        for d, m in exts.items():
-            if d > 0:
-                violations.append(Violation("exceptional", a, a, d, m))
     for b in range(n):
         for a in range(n):
-            if a == b:
-                continue
             exts = ext_groups(coll.objects[b], coll.objects[a])
-            for d, m in exts.items():
-                if b > a:
-                    violations.append(Violation("semiorthogonality", b, a, d, m))
-                elif d != 0:
-                    violations.append(Violation("strongness", b, a, d, m))
+            if a == b and exts.get(0, 0) != 1:
+                violations.append(Violation("exceptional", a, a, 0, exts.get(0, 0)))
+            kind = "exceptional" if a == b else "semiorthogonality" if b > a else "strongness"
+            violations += [Violation(kind, b, a, d, m) for d, m in exts.items()
+                           if d > 0 or b > a]
     violations.sort(key=lambda v: (v.source, v.target, v.degree))
     return CollectionReport(coll, tuple(violations))
 
@@ -110,14 +101,12 @@ class ResolutionSequence(Value):
 
 def builtin_resolution(name: str) -> ResolutionSequence:
     rows = data.RESOLUTIONS[name]
-    terms = []
-    for sign, weight, mult in rows:
-        terms.append(BundleSum.of(GR35, [schur_sub_dual(GR35, weight).with_mult(mult)]))
-    signs = tuple(sign for sign, _, _ in rows)
-    expected = tuple(1 if i % 2 == 0 else -1 for i in range(len(rows)))
-    if signs != expected:
+    seq = ResolutionSequence(name, tuple(
+        BundleSum.of(GR35, [schur_sub_dual(GR35, weight).with_mult(mult)])
+        for _, weight, mult in rows))
+    if tuple(sign for sign, _, _ in rows) != seq.signs():
         raise ValueError("resolution data must alternate signs starting positive")
-    return ResolutionSequence(name, tuple(terms))
+    return seq
 
 
 class ResolutionReport(Value):

@@ -21,8 +21,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import data
+from .exceptional import ext_groups
 from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, as_sum,
-                    degree_totals, line_bundle, schur_sub_dual, structure_sheaf)
+                    line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
 from .total_space import XMINUS, XPLUS, ext_table
 from .value import Value
@@ -135,24 +136,9 @@ def _as_pieces(x) -> list[tuple[BundleSum, int]]:
     raise TypeError(f"cannot interpret {type(x).__name__} as filtered pieces")
 
 
-class GradedEuler(Value):
-    """Graded Euler characteristics chi_l, exact integers, for l in [0, max_l]."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        super().__init__(values)
-
-    def __getitem__(self, l: int) -> int:
-        return self.values[l]
-
-    def as_json(self) -> dict:
-        return {"values": list(self.values)}
-
-
-def graded_euler(left, right, max_l: int = 8) -> GradedEuler:
-    """Filtration-additive graded Euler characteristic of Ext(left, right) on
-    the minus total space.
+def graded_euler(left, right, max_l: int = 8) -> tuple[int, ...]:
+    """Filtration-additive graded Euler characteristics chi_l of Ext(left,
+    right) on the minus total space, exact integers, for l in [0, max_l].
 
     chi_l sums, over source pieces p (offset op) and target pieces q (offset
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
@@ -171,9 +157,9 @@ def graded_euler(left, right, max_l: int = 8) -> GradedEuler:
         for q, oq in rhs:
             by_shift.setdefault(oq - op, []).extend(dual.tensor(q).terms)
     sums = [(d, BundleSum.of(GR25, terms)) for d, terms in by_shift.items()]
-    return GradedEuler(tuple(
+    return tuple(
         sum(s.tensor(XMINUS.term(l + d)).signed_euler() for d, s in sums if l + d >= 0)
-        for l in range(max_l + 1)))
+        for l in range(max_l + 1))
 
 
 class SuiteItem(Value):
@@ -214,7 +200,7 @@ def vanishing_suite() -> tuple[SuiteItem, ...]:
     for i, (src, tgt, label) in enumerate(data.GR35_ORTHOGONAL_PAIRS, start=1):
         source = schur_sub_dual(GR35, src)
         target = schur_sub_dual(GR35, tgt)
-        groups = degree_totals(source.dual().tensor(target).cohomology())
+        groups = ext_groups(source, target)
         items.append(SuiteItem(
             f"gr35-orthogonal-{i}",
             f"complete Ext vanishing on Gr(3,5): {label}",
@@ -240,8 +226,8 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     return {
         "star": star,
         "max_l": max_l,
-        "minus": list(chi.values),
+        "minus": list(chi),
         "plus": list(plus_values),
-        "equal": tuple(chi.values) == plus_values,
+        "equal": chi == plus_values,
         "plus_has_higher": table.any_higher_cohomology,
     }

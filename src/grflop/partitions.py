@@ -258,26 +258,27 @@ def gl_tensor(lam: Iterable[int], mu: Iterable[int], m: int) -> WeightedSum:
 
     Both weights are shifted to partitions, multiplied by the LR rule with
     shapes truncated to m rows, and shifted back.  Output weights have length m.
-    Since V_{lam+a} (x) V_{mu+b} = (V_lam (x) V_mu) (x) det^(a+b), two weights of
-    length m are first shifted to end in 0, and the product of those is memoized
-    and shifted back; shorter weights are memoized as given.  Results are
-    shared between callers; a WeightedSum has no mutators.
+    Since V_{lam+a} (x) V_{mu+b} = (V_lam (x) V_mu) (x) det^(a+b), a weight
+    shorter than m is zero-padded, both are shifted to end in 0, and the
+    product of those is memoized and shifted back.  Results are shared between
+    callers; a WeightedSum has no mutators.
     """
     lam, mu = tuple(lam), tuple(mu)
-    if m and len(lam) == len(mu) == m:
-        a, b = lam[-1], mu[-1]
-        try:
-            table = _gl_tensor(tuple([x - a for x in lam]), tuple([x - b for x in mu]), m)
-        except ValueError:
-            pass  # invalid: raise below, quoting the caller's weights
-        else:
-            t = a + b
-            if not t:
-                return table
-            # A uniform shift keeps the lexicographic order of the keys.
-            return WeightedSum._trusted(
-                {tuple([x + t for x in nu]): c for nu, c in table.items()}, m)
-    return _gl_tensor(lam, mu, m)
+    lam = lam if len(lam) == m else pad(lam, m)
+    mu = mu if len(mu) == m else pad(mu, m)
+    a, b = (lam[-1], mu[-1]) if m else (0, 0)
+    try:
+        table = _gl_tensor(tuple([x - a for x in lam]), tuple([x - b for x in mu]), m)
+    except ValueError:
+        as_weight(lam)  # quote the caller's weights, not the shifted ones
+        as_weight(mu)
+        raise
+    t = a + b
+    if not t:
+        return table
+    # A uniform shift keeps the lexicographic order of the keys.
+    return WeightedSum._trusted(
+        {tuple([x + t for x in nu]): c for nu, c in table.items()}, m)
 
 
 @lru_cache(maxsize=4096)

@@ -58,10 +58,6 @@ class Report:
     def failed(self) -> list:
         return [c for c in self.checks if c["status"] == FAIL]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
     def as_json(self) -> dict:
         from . import __version__
         counts = {s: sum(1 for c in self.checks if c["status"] == s)

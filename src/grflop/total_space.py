@@ -52,9 +52,6 @@ class TotalSpaceModel(Value):
         lam, mu = bundle.blocks
         return mu[0] - lam[-1]
 
-    def __str__(self) -> str:
-        return self.name
-
 
 XPLUS = TotalSpaceModel("xplus", GR35, ((2, 2, 1), (0, 0)))
 XMINUS = TotalSpaceModel("xminus", GR25, ((2, 2), (1, 0, 0)))
@@ -82,11 +79,16 @@ def stable_cutoff(model: TotalSpaceModel, left, right) -> CutoffCertificate:
     dominant concatenated weight, hence a section and cohomology in degree 0
     only.
     """
+    return _certify(model, _product(model, left, right))
+
+
+def _product(model: TotalSpaceModel, left, right):
+    """dual(left) (x) right, for bundles or sums on the model's base."""
     left = as_sum(left)
     right = as_sum(right)
     if left.space != model.base or right.space != model.base:
         raise ValueError(f"bundles must live on {model.base}")
-    return _certify(model, left.dual().tensor(right))
+    return left.dual().tensor(right)
 
 
 def _certify(model: TotalSpaceModel, product) -> CutoffCertificate:
@@ -114,36 +116,30 @@ class ExtTable(Value):
 
     @property
     def any_higher_cohomology(self) -> bool:
-        return any(not c.is_acyclic and c.degree > 0
-                   for _, entries in self.rows for _, c in entries)
+        return bool(self.violations())
 
     def degree_totals(self) -> dict[int, int]:
         return degree_totals(pair for _, entries in self.rows for pair in entries)
 
     def level_degree_dims(self) -> list[tuple[int, int, int]]:
         """(level, degree, total dim) triples, sorted."""
-        acc: dict[tuple[int, int], int] = {}
-        for l, entries in self.rows:
-            for t, c in entries:
-                if not c.is_acyclic:
-                    key = (l, c.degree)
-                    acc[key] = acc.get(key, 0) + t.mult * c.dim
-        return [(l, d, n) for (l, d), n in sorted(acc.items())]
+        return [(l, d, n) for l, entries in self.rows
+                for d, n in degree_totals(entries).items()]
+
+    def _row_totals(self, l: int) -> dict[int, int]:
+        """Total dimension by degree in row l."""
+        for lv, entries in self.rows:
+            if lv == l:
+                return degree_totals(entries)
+        raise KeyError(f"row {l} not computed")
 
     def hom_dim(self, l: int) -> int:
         """Total degree-0 dimension in row l."""
-        for lv, entries in self.rows:
-            if lv == l:
-                return sum(t.mult * c.dim for t, c in entries
-                           if not c.is_acyclic and c.degree == 0)
-        raise KeyError(f"row {l} not computed")
+        return self._row_totals(l).get(0, 0)
 
     def signed_dim(self, l: int) -> int:
         """Alternating sum of dimensions in row l."""
-        for lv, entries in self.rows:
-            if lv == l:
-                return sum(t.mult * c.signed_dim() for t, c in entries)
-        raise KeyError(f"row {l} not computed")
+        return sum(n if d % 2 == 0 else -n for d, n in self._row_totals(l).items())
 
     def violations(self) -> tuple[tuple[int, HomogeneousBundle, int, int], ...]:
         """(level, summand, degree, dim) for every positive-degree entry."""
@@ -182,11 +178,7 @@ def ext_table(model: TotalSpaceModel, left, right, cutoff="auto") -> ExtTable:
     ``cutoff="auto"`` rows run to the certified bound (inclusive, as a spot
     check) and the certificate is attached.
     """
-    left = as_sum(left)
-    right = as_sum(right)
-    if left.space != model.base or right.space != model.base:
-        raise ValueError(f"bundles must live on {model.base}")
-    product = left.dual().tensor(right)
+    product = _product(model, left, right)
     certificate = None
     if cutoff == "auto":
         certificate = _certify(model, product)

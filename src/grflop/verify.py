@@ -20,16 +20,15 @@ from .filtered import euler_cross_check, vanishing_suite
 from .homog import GR25, line_bundle, structure_sheaf
 from .report import Report
 from .stability import ConeProblem, hl_enumerate, kn_adapted, kn_stratification
-from .total_space import XPLUS, is_pretilting, stable_cutoff
+from .total_space import XPLUS, is_pretilting
 
 
 def _check_tilting(report: Report) -> None:
     for star in data.WINDOW_NAMES:
-        bundle = data.window_sum_plus(star)
-        result = is_pretilting(XPLUS, bundle)
+        result = is_pretilting(XPLUS, data.window_sum_plus(star))
         report.add_bool(f"tilting-xplus-{star}", result.ok, result)
-    cert = stable_cutoff(XPLUS, data.window_sum_plus("spade"),
-                         data.window_sum_plus("spade"))
+        if star == "spade":
+            cert = result.table.certificate
     report.add_bool("cutoff-spade-equals-4", cert.l0 == 4, cert)
     result = is_pretilting(XPLUS, data.window_sum_plus("kapranov"))
     report.add_bool("tilting-xplus-kapranov", result.ok, result)

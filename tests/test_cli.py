@@ -19,9 +19,10 @@ from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
                         LEVEL_MAX, LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser,
                         main)
-from grflop.homog import GR35
+from grflop.homog import GR35, Cohomology
 from grflop.report import Report, encode_value
 from grflop.stability import ConeProblem, kn_adapted
+from grflop.total_space import ext_table
 from grflop.verify import verify_all
 
 
@@ -154,7 +155,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, stubbed, message", [
         (["ext-total", "--model", "xplus", "--left", "spade", "--right", "spade",
           "--cutoff", "100000"], "ext_table",
-         f"argument --cutoff: cutoff must be at most {LEVEL_MAX}, got 100000"),
+         f"argument --cutoff: must be at most {LEVEL_MAX}, got 100000"),
         (["euler", "compare", "--star", "spade", "--max-l", "5000"], "euler_cross_check",
          f"argument --max-l: must be at most {LEVEL_MAX}, got 5000"),
     ])
@@ -169,6 +170,48 @@ class TestExitCodes:
             main(argv)
         assert err.value.code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [WEYL_MAX_M, WEYL_MAX_M + 1, 1000])
+    def test_bwb_refuses_large_space_before_computing(self, n, capsys, monkeypatch):
+        """A bwb space of ambient n past WEYL_MAX_M is a usage error raised
+        before Bott runs; n = WEYL_MAX_M still reaches Bott."""
+        calls = []
+
+        def stub(space, weight):
+            calls.append(space.n)
+            return Cohomology.ACYCLIC
+        monkeypatch.setattr(grflop.homog, "bott", stub)
+        code = main(["bwb", "cohom", f"gr(1,{n})", "u=[0]", f"q=[{','.join(['0'] * (n - 1))}]"])
+        err = capsys.readouterr().err
+        if n <= WEYL_MAX_M:
+            assert (code, calls, err) == (EXIT_OK, [n], "")
+        else:
+            assert (code, calls) == (EXIT_USAGE, [])
+            assert err == f"error: gr(1,{n}): ambient n must be at most {WEYL_MAX_M}, got {n}\n"
+
+    @pytest.mark.parametrize("l0", [LEVEL_MAX, LEVEL_MAX + 1, 5000])
+    def test_auto_cutoff_past_limit_refused_before_computing(self, l0, tmp_path, capsys,
+                                                             monkeypatch):
+        """ext-total --cutoff auto with a certified l0 past LEVEL_MAX is a
+        usage error naming l0 and the limit, raised before any row is
+        computed; l0 = LEVEL_MAX still runs."""
+        sets = tmp_path / "sets.txt"
+        sets.write_text(f"[o]\ngr(3,5) u=[0,0,0] q=[0,0]\n[big]\ngr(3,5) u=[0,0,-{l0}] q=[0,0]\n")
+        calls = []
+
+        def stub(model, left, right, cutoff="auto"):
+            calls.append(cutoff)
+            return ext_table(model, left, right, 0)
+        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        code = main(["ext-total", "--model", "xplus", "--left", "o", "--right", "big",
+                     "--sets", str(sets)])
+        err = capsys.readouterr().err
+        if l0 <= LEVEL_MAX:
+            assert (code, calls, err) == (EXIT_OK, ["auto"], "")
+        else:
+            assert (code, calls) == (EXIT_USAGE, [])
+            assert err == (f"error: --cutoff auto: the certified l0 = {l0} is past "
+                           f"the limit of {LEVEL_MAX} fiber levels\n")
 
     def test_level_limit_is_inclusive(self):
         parser = build_parser()

@@ -114,7 +114,7 @@ class TestSchurFiltered:
 class TestGradedEuler:
     def test_structure_sheaf(self):
         o = structure_sheaf(GR25)
-        assert graded_euler(o, o, 0).values == (1,)
+        assert graded_euler(o, o, 0) == (1,)
 
     def test_core_extension_endomorphisms(self):
         chi = graded_euler(core_extension(), core_extension(), 1)
@@ -122,20 +122,20 @@ class TestGradedEuler:
         assert chi[1] == 451
 
     def test_hom_from_structure_sheaf(self):
-        assert graded_euler(structure_sheaf(GR25), core_extension(), 1).values == (5, 330)
+        assert graded_euler(structure_sheaf(GR25), core_extension(), 1) == (5, 330)
 
     def test_refinement_invariance(self):
         p = schur_filtered((2, 1, 0))
         q = schur_filtered((1, 1, 0))
         coarse = graded_euler(p, q, 4)
-        assert graded_euler(p.refined(), q.refined(), 4).values == coarse.values
-        assert graded_euler(p.refined(), q, 4).values == coarse.values
+        assert graded_euler(p.refined(), q.refined(), 4) == coarse
+        assert graded_euler(p.refined(), q, 4) == coarse
 
     def test_offsets_matter(self):
         """Zeroing the offsets breaks the anchor value, so they are load-bearing."""
         p = core_extension()
         flat = FilteredBundle(p.pieces, (0, 0), "flat")
-        assert graded_euler(flat, flat, 0).values != (1,)
+        assert graded_euler(flat, flat, 0) != (1,)
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestGradedEulerOracle:
     @pytest.mark.parametrize("star", data.WINDOW_NAMES)
     def test_minus_windows(self, star):
         minus = list(window_bundle("minus", star))
-        assert graded_euler(minus, minus, 8).values == \
+        assert graded_euler(minus, minus, 8) == \
             graded_euler_per_pair(minus, minus, 8)
 
     def test_refined_inputs(self):
@@ -173,7 +173,7 @@ class TestGradedEulerOracle:
         q = schur_filtered((1, 0, -1))
         for left, right in [(p.refined(), q.refined()), (p.refined(), q),
                             (q, p.refined())]:
-            assert graded_euler(left, right, 5).values == \
+            assert graded_euler(left, right, 5) == \
                 graded_euler_per_pair(left, right, 5)
 
     def test_mixed_inputs(self):
@@ -181,7 +181,7 @@ class TestGradedEulerOracle:
                 BundleSum.of(GR25, [line_bundle(GR25, -1), schur_sub_dual(GR25, (1, 0))])]
         right = [schur_filtered((2, 0, 0)), line_bundle(GR25, 1)]
         for a, b in [(left, right), (right, left)]:
-            assert graded_euler(a, b, 4).values == graded_euler_per_pair(a, b, 4)
+            assert graded_euler(a, b, 4) == graded_euler_per_pair(a, b, 4)
 
 
 class TestWindowBundles:

@@ -205,6 +205,17 @@ class TestGLTensor:
             with pytest.raises(ValueError, match=message):
                 gl_tensor(list(lam), list(mu), m)
 
+    def test_one_memo_entry_for_padded_and_twisted_weights(self):
+        """A shorter weight is padded and every weight normalized to end in
+        0 before the memo, so these three products share one entry."""
+        _gl_tensor.cache_clear()
+        short = gl_tensor((1,), (1,), 3)
+        full = gl_tensor((1, 0, 0), (1, 0, 0), 3)
+        twisted = gl_tensor((2, 1, 1), (2, 1, 1), 3)
+        assert _gl_tensor.cache_info().misses == 1
+        assert short == full
+        assert expand(twisted) == {shift(nu, 2): c for nu, c in full.items()}
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_twist_identity(self, m):
         """gl_tensor(lam + a, mu + b, m) is the LR product of the partitions

@@ -2,11 +2,12 @@
 
 import pytest
 
-from grflop import data, total_space
+from grflop import data, filtered, total_space
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.total_space import (MODELS, XMINUS, XPLUS, ext_table,
                                 is_pretilting, stable_cutoff)
+from grflop.verify import verify_all
 
 
 class TestPushforwardTerms:
@@ -85,6 +86,92 @@ class TestExtTable:
         payload = table.as_json()
         assert payload["any_higher_cohomology"] is False
         assert payload["certificate"]["l0"] == table.cutoff
+
+
+def tally_per_entry(table) -> dict:
+    """Reference for ExtTable's five views: one loop over the entries each."""
+    rows = dict(table.rows)
+    by_degree: dict[int, int] = {}
+    acc: dict[tuple[int, int], int] = {}
+    for l, entries in table.rows:
+        for t, c in entries:
+            if not c.is_acyclic:
+                by_degree[c.degree] = by_degree.get(c.degree, 0) + t.mult * c.dim
+                acc[l, c.degree] = acc.get((l, c.degree), 0) + t.mult * c.dim
+    return {
+        "any_higher_cohomology": any(not c.is_acyclic and c.degree > 0
+                                     for _, entries in table.rows for _, c in entries),
+        "degree_totals": dict(sorted(by_degree.items())),
+        "level_degree_dims": [(l, d, n) for (l, d), n in sorted(acc.items())],
+        "hom_dim": [sum(t.mult * c.dim for t, c in rows[l]
+                        if not c.is_acyclic and c.degree == 0) for l in rows],
+        "signed_dim": [sum(t.mult * c.signed_dim() for t, c in rows[l]) for l in rows],
+    }
+
+
+def tally_views(table) -> dict:
+    levels = [l for l, _ in table.rows]
+    return {
+        "any_higher_cohomology": table.any_higher_cohomology,
+        "degree_totals": table.degree_totals(),
+        "level_degree_dims": table.level_degree_dims(),
+        "hom_dim": [table.hom_dim(l) for l in levels],
+        "signed_dim": [table.signed_dim(l) for l in levels],
+    }
+
+
+def suite_tables(monkeypatch) -> list:
+    """The Ext tables vanishing_suite builds, in order."""
+    tables = []
+
+    def record(*args, **kwargs):
+        tables.append(ext_table(*args, **kwargs))
+        return tables[-1]
+    monkeypatch.setattr(filtered, "ext_table", record)
+    filtered.vanishing_suite()
+    return tables
+
+
+class TestTally:
+    """ExtTable's views against the per-entry reference loops."""
+
+    def test_spade_auto(self):
+        t = data.window_sum_plus("spade")
+        table = ext_table(XPLUS, t, t, "auto")
+        assert tally_views(table) == tally_per_entry(table)
+
+    def test_minus_suite_tables(self, monkeypatch):
+        tables = suite_tables(monkeypatch)
+        assert len(tables) == 12
+        for table in tables:
+            assert table.model == XMINUS
+            assert tally_views(table) == tally_per_entry(table)
+
+    def test_higher_cohomology(self):
+        """Higher cohomology in an odd and an even degree, so the signs of
+        signed_dim are exercised."""
+        table = ext_table(XMINUS, structure_sheaf(GR25),
+                          schur_sub_dual(GR25, (1, 0), -6), "auto")
+        views = tally_views(table)
+        assert views["any_higher_cohomology"]
+        assert set(views["degree_totals"]) == {0, 1, 6}
+        assert views == tally_per_entry(table)
+
+    def test_rows_not_computed(self):
+        t = data.window_sum_plus("spade")
+        table = ext_table(XPLUS, t, t, "auto")
+        for l in (-1, table.cutoff + 1):
+            for view in (table.hom_dim, table.signed_dim):
+                with pytest.raises(KeyError, match=f"row {l} not computed"):
+                    view(l)
+
+    def test_verify_all_cutoff_certificate(self):
+        """cutoff-spade-equals-4 reports the certificate of the spade
+        self-Ext product, the same one stable_cutoff gives."""
+        checks = {c["id"]: c for c in verify_all().checks}
+        t = data.window_sum_plus("spade")
+        assert checks["cutoff-spade-equals-4"]["payload"] == \
+            stable_cutoff(XPLUS, t, t).as_json()
 
 
 class TestPretilting:

@@ -17,8 +17,7 @@ from grflop.exceptional import (CollectionReport, ExceptionalCollection,
                                 ResolutionReport, ResolutionSequence, Violation,
                                 builtin_collection, builtin_resolution,
                                 check_collection, check_resolution)
-from grflop.filtered import (FilteredBundle, GradedEuler, SuiteItem,
-                             core_extension)
+from grflop.filtered import FilteredBundle, SuiteItem, core_extension
 from grflop.homog import (GR25, GR35, BundleSum, Cohomology, FlagVariety,
                           HomogeneousBundle, line_bundle, structure_sheaf)
 from grflop.report import Report
@@ -95,7 +94,6 @@ FACTORIES = {
     ResolutionSequence: lambda: builtin_resolution("lascoux-1"),
     ResolutionReport: lambda: check_resolution(builtin_resolution("lascoux-1"), range(2)),
     FilteredBundle: core_extension,
-    GradedEuler: lambda: GradedEuler((1, 2, 3)),
     SuiteItem: lambda: SuiteItem("probe", "a probe", True, {"l0": 0}),
     Membership: lambda: hl_membership((0, 0, 0), (0, 0, 0), "plus"),
     ConeProblem: lambda: ConeProblem(("q2", "q1", "q2"), "minus"),
