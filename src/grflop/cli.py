@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import prod
 
 from . import __version__, data
 from .bundleset import parse_bundle, parse_set_file
@@ -43,6 +44,14 @@ WEYL_MAX_M = 100
 # takes about a second, level 400 several.  It bounds the certified l0 of
 # `ext-total --cutoff auto` too.
 LEVEL_MAX = 100
+# `ext-total` tensors every summand of dual(left) (x) right with each level's
+# term, and the summands grow with the weights: on a 2-vCPU VM one term
+# gr(3,5) u=[16,8,0] against itself took 2 s at its l0 = 16, and u=[40,20,0]
+# more than 30 s.  By the Littlewood-Richardson rule a product of two
+# irreducibles of one GL has at most as many summands, with multiplicity, as
+# the smaller one has dimension, so _summand_bound bounds the summands before
+# any tensor is built.  The built-in sets reach 227.
+SUMMANDS_MAX = 256
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
 # steeply with the number of boxes: the worst shapes found take about a second
 # at 36 boxes and two at 40.
@@ -168,10 +177,27 @@ def _cmd_bwb(args) -> Report:
     return report
 
 
+def _summand_bound(left: BundleSum, right: BundleSum) -> int:
+    """An upper bound on the summands, with multiplicity, of dual(left) (x)
+    right: the sum over term pairs of the product over blocks of the smaller
+    block dimension.  The sum stops once it is past SUMMANDS_MAX."""
+    dims = [[tuple(weyl_dim(b, len(b)) for b in t.blocks) for t in s] for s in (left, right)]
+    total = 0
+    for x in dims[0]:
+        for y in dims[1]:
+            total += prod(map(min, x, y))
+            if total > SUMMANDS_MAX:
+                return total
+    return total
+
+
 def _cmd_ext_total(args) -> Report:
     model = MODELS[args.model]
     left = _resolve_set(args.left, args.sets, model.base)
     right = _resolve_set(args.right, args.sets, model.base)
+    if _summand_bound(left, right) > SUMMANDS_MAX:
+        raise ValueError(f"--left {args.left} --right {args.right}: dual(left) (x) right "
+                         f"may have more than {SUMMANDS_MAX} summands, the limit")
     if args.cutoff == "auto":
         l0 = stable_cutoff(model, left, right).l0
         if l0 > LEVEL_MAX:

@@ -18,6 +18,7 @@ endomorphisms of the extension itself.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import data
@@ -143,23 +144,46 @@ def graded_euler(left, right, max_l: int = 8) -> tuple[int, ...]:
     chi_l sums, over source pieces p (offset op) and target pieces q (offset
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
     Since (x) distributes over direct sums and the signed sum is additive,
-    the products dual(p) (x) q are first merged by shift d = oq - op into one
-    sum S_d, and chi_l = sum over d with l + d >= 0 of chi(S_d (x) term(l + d)).
+    this is chi_l = sum over d with l + d >= 0 of chi(S_d (x) term(l + d))
+    for the shift sums S_d of _shift_sums, each memoized in _level_euler.
     """
+    sums = _shift_sums(left, right).items()
+    return tuple(sum(_level_euler(s, l + d) for d, s in sums if l + d >= 0)
+                 for l in range(max_l + 1))
+
+
+def _shift_sums(left, right) -> dict[int, BundleSum]:
+    """S_d, the sum of dual(p) (x) q over source pieces p (offset op) and
+    target pieces q (offset oq) with oq - op = d.  The pieces of each side are
+    merged by offset first, so one product is taken per offset pair."""
     lhs = _as_pieces(left)
     rhs = _as_pieces(right)
     for p, _ in lhs + rhs:
         if p.space != GR25:
             raise ValueError(f"pieces must live on {GR25}")
+    targets = _by_offset(rhs).items()
     by_shift: dict[int, list[HomogeneousBundle]] = {}
-    for p, op in lhs:
+    for op, p in _by_offset(lhs).items():
         dual = p.dual()
-        for q, oq in rhs:
+        for oq, q in targets:
             by_shift.setdefault(oq - op, []).extend(dual.tensor(q).terms)
-    sums = [(d, BundleSum.of(GR25, terms)) for d, terms in by_shift.items()]
-    return tuple(
-        sum(s.tensor(XMINUS.term(l + d)).signed_euler() for d, s in sums if l + d >= 0)
-        for l in range(max_l + 1))
+    return {d: BundleSum.of(GR25, terms) for d, terms in by_shift.items()}
+
+
+def _by_offset(pieces: list[tuple[BundleSum, int]]) -> dict[int, BundleSum]:
+    """(piece, offset) pairs on Gr(2,5) merged into one sum per offset."""
+    terms: dict[int, list[HomogeneousBundle]] = {}
+    for p, o in pieces:
+        terms.setdefault(o, []).extend(p.terms)
+    return {o: BundleSum.of(GR25, ts) for o, ts in terms.items()}
+
+
+@lru_cache(maxsize=4096)
+def _level_euler(s: BundleSum, m: int) -> int:
+    """chi(s (x) term(m)) on the minus total space, memoized: the windows club
+    and diamond are the duals of spade and heart, End(W^dual) = End(W), so
+    their shift sums S_d equal those of spade and heart."""
+    return s.tensor(XMINUS.term(m)).signed_euler()
 
 
 class SuiteItem(Value):

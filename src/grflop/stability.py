@@ -71,8 +71,8 @@ def _window(w: Sequence[int], side: str, slots: Sequence[int] = (0, 1, 2)
     """The inequalities of one window as (label, form, lo, hi): lo <= form . chi < hi,
     restricted to the forms whose slot is in `slots`.
 
-    The single place a side is validated; hl_membership and hl_enumerate both
-    read their inequalities from here.
+    The single place a side is validated: hl_membership reads its
+    inequalities from here, and hl_enumerate reaches it through _slot2_members.
     """
     forms = WINDOW_FORMS.get(side)
     if forms is None:
@@ -128,7 +128,9 @@ def _candidates(w: tuple[int, int, int], side: str) -> Iterator[Weight]:
 
     On the plus side each entry is pinned to three consecutive integers.  On
     the minus side the entry conditions force chi_1 + chi_3 into a window of
-    width six and chi_1 - chi_3 <= 3.
+    width six, and the box takes chi_1 - chi_3 <= 3.  The weights of the box
+    that pass the slot-2 inequalities all have chi_1 - chi_3 <= 1, and there
+    are exactly six of them for every w[2].
     """
     w2 = w[2]
     if side == "plus":
@@ -148,12 +150,28 @@ def _candidates(w: tuple[int, int, int], side: str) -> Iterator[Weight]:
 
 
 @lru_cache(maxsize=4096)
-def _slot2_members(side: str, w2: int) -> tuple[Weight, ...]:
-    """The sorted weights of the _candidates box that satisfy the slot-2
-    inequalities of a side already validated.  Both depend on w[2] alone."""
+def _slot2_members(side: str, w2: int) -> tuple[tuple[Weight, int, int, int, int], ...]:
+    """The sorted weights chi of the _candidates box that satisfy the slot-2
+    inequalities of a side, each as (chi, lo0, hi0, lo1, hi1).  Both depend on
+    w[2] alone.
+
+    chi satisfies the slot-0 and slot-1 inequalities exactly when
+    lo0 <= w[0] <= hi0 and lo1 <= w[1] <= hi1: a form with value v and width
+    holds on w[slot] <= v < w[slot] + width, that is on the closed range
+    v - width + 1 <= w[slot] <= v, and the ranges of a slot's forms intersect.
+    """
     w = (0, 0, w2)
     window = _window(w, side, (2,))
-    return tuple(sorted({chi for chi in _candidates(w, side) if _in_window(chi, window)}))
+    out = []
+    for chi in sorted({chi for chi in _candidates(w, side) if _in_window(chi, window)}):
+        ranges = []
+        for s in (0, 1):
+            values = [(x * chi[0] + y * chi[1] + z * chi[2], width)
+                      for _, slot, (x, y, z), width in WINDOW_FORMS[side] if slot == s]
+            ranges.append(max(v - width + 1 for v, width in values))
+            ranges.append(min(v for v, _ in values))
+        out.append((chi, *ranges))
+    return tuple(out)
 
 
 def hl_enumerate(w: Sequence[int], side: str) -> tuple[Weight, ...]:
@@ -161,12 +179,13 @@ def hl_enumerate(w: Sequence[int], side: str) -> tuple[Weight, ...]:
 
     The box (see _candidates) is scanned and filtered through every window
     inequality, so the structural bound is checked rather than assumed.  The
-    box and its slot-2 filter are memoized per (side, w[2]) in _slot2_members;
-    the slot-0 and slot-1 inequalities are applied on every call.
+    box, its slot-2 filter and each member's ranges of w[0] and w[1] are
+    memoized per (side, w[2]) in _slot2_members; a call tests w[0] and w[1]
+    against those ranges, which is the slot-0 and slot-1 inequalities exactly.
     """
-    w = _window_offsets(w)
-    window = _window(w, side, (0, 1))
-    return tuple(chi for chi in _slot2_members(side, w[2]) if _in_window(chi, window))
+    w0, w1, w2 = _window_offsets(w)
+    return tuple(chi for chi, lo0, hi0, lo1, hi1 in _slot2_members(side, w2)
+                 if lo0 <= w0 <= hi0 and lo1 <= w1 <= hi1)
 
 
 class ConeProblem(Value):

@@ -9,7 +9,9 @@ a dominant concatenated weight, hence cohomology in degree 0 only.
 
 from __future__ import annotations
 
-from .homog import (Cohomology, FlagVariety, GR25, GR35,
+from functools import lru_cache
+
+from .homog import (BundleSum, Cohomology, FlagVariety, GR25, GR35,
                     HomogeneousBundle, as_sum, degree_totals)
 from .value import Value
 
@@ -187,11 +189,19 @@ def ext_table(model: TotalSpaceModel, left, right, cutoff="auto") -> ExtTable:
         top = int(cutoff)
         if top < 0:
             raise ValueError("cutoff must be nonnegative")
-    rows = []
-    for l in range(top + 1):
-        level_sum = product.tensor(model.term(l))
-        rows.append((l, level_sum.cohomology()))
-    return ExtTable(model, tuple(rows), top, certificate)
+    rows = tuple((l, _ext_row(model, product, l)) for l in range(top + 1))
+    return ExtTable(model, rows, top, certificate)
+
+
+@lru_cache(maxsize=4096)
+def _ext_row(model: TotalSpaceModel, product: BundleSum, l: int):
+    """Row l of the Ext table of a product dual(left) (x) right, memoized.
+
+    Equal products share their rows: the windows club and diamond are the
+    duals of spade and heart, End(W^dual) = End(W) gives them the same
+    product, and a table with a higher cutoff reuses the rows of a lower one.
+    """
+    return product.tensor(model.term(l)).cohomology()
 
 
 class PretiltingReport(Value):

@@ -5,10 +5,16 @@ pass/fail line per criterion is printed, so `pytest -s tests/test_acceptance.py`
 doubles as a human-readable report.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grflop
 from grflop import data
 from grflop.exceptional import (ExceptionalCollection, builtin_collection,
                                 builtin_resolution, check_collection,
@@ -194,6 +200,41 @@ class TestCriterion9PropertySuites:
                     cases += 1
         assert cases >= 1000
         _line(9, f"report determinism sweep ({cases} cases)", True)
+
+
+_WORK_COUNTS = """
+import json
+from grflop import filtered, homog, partitions, stability, total_space
+from grflop.verify import verify_all
+verify_all()
+memos = (total_space._ext_row, filtered._level_euler, partitions._gl_tensor,
+         homog._bott, stability._slot2_members)
+print(json.dumps({f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}))
+"""
+
+
+def test_verify_all_work_counts():
+    """One verify_all() in a fresh process makes a pinned number of memo hits
+    and misses, a work count the wall clock of a noisy machine cannot show.
+
+    - _ext_row: 49 distinct rows.  The 36 hits are every row of club and
+      diamond (9 + 9 in the cutoff-8 tables, 5 + 4 in the pretilting tables,
+      equal to spade's and heart's) and the rows 0..4 of spade and 0..3 of
+      heart that the cutoff-8 tables take from the pretilting tables.
+    - _level_euler: spade and heart compute 128 levels (shift sum, level);
+      club and diamond, with the same shift sums, hit all 128.
+    - _gl_tensor, _bott and the window ranges: 150, 771 and 22 distinct inputs.
+    """
+    src = str(Path(grflop.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _WORK_COUNTS],
+                         env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    counts = json.loads(out)
+    assert counts["_ext_row"] == [36, 49]
+    assert counts["_level_euler"] == [128, 128]
+    assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
+        [150, 771, 22]
 
 
 def _window_report(w) -> str:

@@ -17,9 +17,9 @@ import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
-                        LEVEL_MAX, LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser,
-                        main)
-from grflop.homog import GR35, Cohomology
+                        LEVEL_MAX, LR_MAX_BOXES, SUMMANDS_MAX, TWISTS_MAX, WEYL_MAX_M,
+                        _summand_bound, build_parser, main)
+from grflop.homog import GR35, BundleSum, Cohomology
 from grflop.report import Report, encode_value
 from grflop.stability import ConeProblem, kn_adapted
 from grflop.total_space import ext_table
@@ -212,6 +212,59 @@ class TestExitCodes:
             assert (code, calls) == (EXIT_USAGE, [])
             assert err == (f"error: --cutoff auto: the certified l0 = {l0} is past "
                            f"the limit of {LEVEL_MAX} fiber levels\n")
+
+    @pytest.mark.parametrize("left, right, refused", [
+        ("gr(3,5) u=[0,0,0] q=[0,0]",
+         "\n".join(f"gr(3,5) u=[{a},{a},{a}] q=[0,0]" for a in range(SUMMANDS_MAX)), False),
+        ("gr(3,5) u=[0,0,0] q=[0,0]",
+         "\n".join(f"gr(3,5) u=[{a},{a},{a}] q=[0,0]" for a in range(SUMMANDS_MAX + 1)), True),
+        ("gr(3,5) u=[16,8,0] q=[0,0]", "gr(3,5) u=[16,8,0] q=[0,0]", True),
+        ("gr(3,5) u=[40,20,0] q=[0,0]", "gr(3,5) u=[40,20,0] q=[0,0]", True),
+    ], ids=["lines-at-limit", "lines-past-limit", "16_8_0", "40_20_0"])
+    def test_large_product_refused_before_computing(self, left, right, refused, tmp_path,
+                                                    capsys, monkeypatch):
+        """ext-total whose bound on the summands of dual(left) (x) right is
+        past SUMMANDS_MAX is a usage error raised before any tensor is built:
+        O against SUMMANDS_MAX line bundles still runs, against one more it
+        does not, and neither does u=[16,8,0] (l0 = 16) or u=[40,20,0]
+        against itself."""
+        sets = tmp_path / "sets.txt"
+        sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
+        calls = []
+
+        def stub(model, left, right, cutoff="auto"):
+            calls.append(cutoff)
+            return ext_table(model, left, right, 0)
+        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        if refused:
+            monkeypatch.setattr(BundleSum, "tensor",
+                                lambda *args: pytest.fail("a tensor was built"))
+        code = main(["ext-total", "--model", "xplus", "--left", "a", "--right", "b",
+                     "--sets", str(sets)])
+        err = capsys.readouterr().err
+        if not refused:
+            assert (code, calls, err) == (EXIT_OK, ["auto"], "")
+        else:
+            assert (code, calls) == (EXIT_USAGE, [])
+            assert err == ("error: --left a --right b: dual(left) (x) right "
+                           f"may have more than {SUMMANDS_MAX} summands, the limit\n")
+
+    def test_summand_bound_holds_and_admits_builtin_sets(self):
+        """_summand_bound is at least the summand count, with multiplicity,
+        of dual(left) (x) right, and every pair of built-in sets is within
+        SUMMANDS_MAX (kapranov against itself reaches 227)."""
+        names = list(grflop.data.WINDOW_NAMES) + ["kapranov"]
+        sums = [grflop.data.window_sum_plus(n) for n in names]
+        sums += [parse_set_file(f"[a]\n{text}\n")["a"] for text in (
+            "gr(3,5) u=[4,2,0] q=[0,0]", "gr(3,5) u=[8,4,0] q=[3,1]\ngr(3,5) u=[1,0,0] q=[2,0]",
+            "gr(2,5) u=[3,1] q=[4,2,0]", "gr(2,5) u=[1,0] q=[0,0,-2]\ngr(2,5) u=[2,2] q=[1,0,0]")]
+        for left in sums:
+            for right in sums:
+                if left.space == right.space:
+                    product = left.dual().tensor(right)
+                    assert sum(t.mult for t in product) <= _summand_bound(left, right)
+        assert max(_summand_bound(a, b) for a in sums[:5] for b in sums[:5]) == 227 \
+            <= SUMMANDS_MAX
 
     def test_level_limit_is_inclusive(self):
         parser = build_parser()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from grflop.filtered import (FilteredBundle, _as_pieces, core_extension,
+from grflop import filtered
+from grflop.filtered import (FilteredBundle, _as_pieces, _shift_sums, core_extension,
                              euler_cross_check, graded_euler, schur_filtered,
                              vanishing_suite, window_bundle)
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
@@ -182,6 +183,44 @@ class TestGradedEulerOracle:
         right = [schur_filtered((2, 0, 0)), line_bundle(GR25, 1)]
         for a, b in [(left, right), (right, left)]:
             assert graded_euler(a, b, 4) == graded_euler_per_pair(a, b, 4)
+
+
+class TestLevelEulerMemo:
+    """graded_euler takes chi(S_d (x) term(m)) from the bounded _level_euler
+    memo on (S_d, m)."""
+
+    @pytest.mark.parametrize("star, partner", [("spade", "club"), ("heart", "diamond")])
+    def test_dual_windows_share_shift_sums(self, star, partner):
+        """club and diamond are the duals of spade and heart, so their minus
+        shift sums S_d are equal and every one of their levels is a hit; the
+        values still equal the per-pair reference."""
+        t = list(window_bundle("minus", star))
+        u = list(window_bundle("minus", partner))
+        assert _shift_sums(u, u) == _shift_sums(t, t)
+        filtered._level_euler.cache_clear()
+        first = graded_euler(t, t, 8)
+        misses = filtered._level_euler.cache_info().misses
+        second = graded_euler(u, u, 8)
+        info = filtered._level_euler.cache_info()
+        assert (info.misses, info.hits) == (misses, misses)
+        assert first == second == graded_euler_per_pair(u, u, 8)
+
+    def test_one_product_per_offset_pair(self, monkeypatch):
+        """The pieces of each side are merged by offset before the products
+        are taken: heart's 17 pieces carry the four offsets -1..2, so its
+        self-Ext takes 16 products, not 289."""
+        minus = list(window_bundle("minus", "heart"))
+        assert len(_as_pieces(minus)) == 17
+        assert {o for _, o in _as_pieces(minus)} == {-1, 0, 1, 2}
+        calls = []
+        tensor = BundleSum.tensor
+        monkeypatch.setattr(BundleSum, "tensor",
+                            lambda self, other: calls.append(1) or tensor(self, other))
+        _shift_sums(minus, minus)
+        assert len(calls) == 16
+
+    def test_memo_is_bounded(self):
+        assert filtered._level_euler.cache_info().maxsize == 4096
 
 
 class TestWindowBundles:

@@ -104,6 +104,41 @@ class TestEnumerate:
             assert hl_enumerate(w, side) == tuple(sorted(
                 {chi for chi in _candidates(w, side) if _in_window(chi, window)}))
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_ranges_match_full_window(self, side):
+        """hl_enumerate's two range tests per member equal filtering the box
+        through every inequality of the window, for every w in
+        [-25,25]^2 x [-12,12]."""
+        for w2 in range(-12, 13):
+            box = sorted(set(_candidates((0, 0, w2), side)))
+            for w0, w1 in product(range(-25, 26), repeat=2):
+                w = (w0, w1, w2)
+                window = _window(w, side)
+                assert hl_enumerate(w, side) == tuple(chi for chi in box
+                                                      if _in_window(chi, window))
+
+    def test_rejects_bad_input_cold_and_warm(self):
+        """A bad side and a w of the wrong length raise the same errors
+        before and after the memo holds entries for that w[2]."""
+        _slot2_members.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^side must be 'plus' or 'minus'$"):
+                hl_enumerate((0, 0, 0), "north")
+            for w in [(0, 0), (0, 0, 0, 0)]:
+                with pytest.raises(ValueError, match=r"^w must have length 3$"):
+                    hl_enumerate(w, "minus")
+            hl_enumerate((0, 0, 0), "plus")
+            hl_enumerate((0, 0, 0), "minus")
+        assert _slot2_members.cache_info().currsize == 2
+
+    def test_minus_slot2_members(self):
+        """On the minus side exactly six weights of the box pass the slot-2
+        inequalities for every w[2], each with chi_1 - chi_3 <= 1."""
+        for w2 in range(-30, 31):
+            members = [chi for chi, *_ in _slot2_members("minus", w2)]
+            assert len(members) == 6
+            assert max(chi[0] - chi[2] for chi in members) <= 1
+
     def test_size_bound_over_box(self):
         worst = 0
         for w0 in range(-10, 11):

@@ -174,6 +174,60 @@ class TestTally:
             stable_cutoff(XPLUS, t, t).as_json()
 
 
+class TestRowMemo:
+    """ext_table takes row l from the bounded _ext_row memo on (model,
+    product, l), so equal products share their rows."""
+
+    @staticmethod
+    def cases():
+        w = data.window_sum_plus
+        sub_dual = schur_sub_dual(GR25, (1, 0))
+        return [(XPLUS, w("spade"), w("spade"), "auto"), (XPLUS, w("club"), w("club"), 8),
+                (XPLUS, w("heart"), w("diamond"), 3), (XPLUS, w("kapranov"), w("kapranov"), "auto"),
+                (XMINUS, structure_sheaf(GR25), line_bundle(GR25, -3), "auto"),
+                (XMINUS, sub_dual, schur_sub_dual(GR25, (2, 0), 2), "auto")]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rows_equal_fresh_products(self, warm):
+        """Every row equals product.tensor(model.term(l)).cohomology() built
+        afresh, from a cold memo and from one that verify-all has filled."""
+        total_space._ext_row.cache_clear()
+        if warm:
+            verify_all()
+        for model, left, right, cutoff in self.cases():
+            table = ext_table(model, left, right, cutoff)
+            product = total_space._product(model, left, right)
+            assert table.rows == tuple((l, product.tensor(model.term(l)).cohomology())
+                                       for l in range(table.cutoff + 1))
+
+    @pytest.mark.parametrize("star, partner", [("spade", "club"), ("heart", "diamond")])
+    def test_dual_windows_share_rows(self, star, partner):
+        """club and diamond are the duals of spade and heart, so their
+        self-Ext products are equal and every one of their rows is a hit."""
+        t, u = data.window_sum_plus(star), data.window_sum_plus(partner)
+        assert total_space._product(XPLUS, u, u) == total_space._product(XPLUS, t, t)
+        total_space._ext_row.cache_clear()
+        first = ext_table(XPLUS, t, t, "auto")
+        misses = total_space._ext_row.cache_info().misses
+        second = ext_table(XPLUS, u, u, "auto")
+        info = total_space._ext_row.cache_info()
+        assert (info.misses, info.hits) == (misses, len(first.rows))
+        assert second.rows == first.rows
+
+    def test_higher_cutoff_reuses_rows(self):
+        """The cutoff-8 table of euler_cross_check computes only the rows past
+        the certified cutoff of the pretilting table."""
+        t = data.window_sum_plus("spade")
+        total_space._ext_row.cache_clear()
+        l0 = ext_table(XPLUS, t, t, "auto").cutoff
+        ext_table(XPLUS, t, t, 8)
+        info = total_space._ext_row.cache_info()
+        assert (info.hits, info.misses) == (l0 + 1, 9)
+
+    def test_memo_is_bounded(self):
+        assert total_space._ext_row.cache_info().maxsize == 4096
+
+
 class TestPretilting:
     @pytest.mark.parametrize("star", data.WINDOW_NAMES)
     def test_windows_pretilting(self, star):
