@@ -52,6 +52,13 @@ LEVEL_MAX = 100
 # the smaller one has dimension, so _summand_bound bounds the summands before
 # any tensor is built.  The built-in sets reach 227.
 SUMMANDS_MAX = 256
+# Row l of `ext-total` is the product of dual(left) (x) right with term(l),
+# whose blocks grow with l, so a few large summands still make slow rows: at
+# `--cutoff 100` the row bound of _summand_bound is 1,225 for kapranov against
+# itself (about 2 s), 1,764 for u=[5,2,0] against itself (6 s) and 5,151 for
+# o against u=[100,50,0] (30 s).  Rows grow with l, so a numeric cutoff is
+# refused when the bound on its own row is past this limit.
+ROW_SUMMANDS_MAX = 1500
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
 # steeply with the number of boxes: the worst shapes found take about a second
 # at 36 boxes and two at 40.
@@ -127,12 +134,11 @@ def _cutoff_arg(text: str):
     return "auto" if text == "auto" else _at_most(LEVEL_MAX)(text)
 
 
-def _resolve_set(name: str, sets_path: str | None, base) -> BundleSum:
-    """A named bundle sum: a section of a set file, a built-in window name,
-    or 'o' for the structure sheaf of the model's base."""
-    if sets_path:
-        with open(sets_path, encoding="utf-8") as fh:
-            sets = parse_set_file(fh.read())
+def _resolve_set(name: str, sets: dict | None, sets_path: str | None, base) -> BundleSum:
+    """A named bundle sum: a section of the set file parsed as `sets` (None
+    without one), a built-in window name, or 'o' for the structure sheaf of
+    the model's base."""
+    if sets is not None:
         if name in sets:
             return sets[name]
         raise ValueError(f"set {name!r} not found in {sets_path}")
@@ -177,24 +183,31 @@ def _cmd_bwb(args) -> Report:
     return report
 
 
-def _summand_bound(left: BundleSum, right: BundleSum) -> int:
+def _summand_bound(left, right, limit: int = SUMMANDS_MAX) -> int:
     """An upper bound on the summands, with multiplicity, of dual(left) (x)
-    right: the sum over term pairs of the product over blocks of the smaller
-    block dimension.  The sum stops once it is past SUMMANDS_MAX."""
-    dims = [[tuple(weyl_dim(b, len(b)) for b in t.blocks) for t in s] for s in (left, right)]
+    right, or of left (x) right, for two sums of bundles: the sum over term
+    pairs of their multiplicities times the product over blocks of the smaller
+    block dimension.  The sum stops once it is past `limit`."""
+    dims = [[(t.mult, tuple(weyl_dim(b, len(b)) for b in t.blocks)) for t in s]
+            for s in (left, right)]
     total = 0
-    for x in dims[0]:
-        for y in dims[1]:
-            total += prod(map(min, x, y))
-            if total > SUMMANDS_MAX:
+    for m, x in dims[0]:
+        for n, y in dims[1]:
+            total += m * n * prod(map(min, x, y))
+            if total > limit:
                 return total
     return total
 
 
 def _cmd_ext_total(args) -> Report:
     model = MODELS[args.model]
-    left = _resolve_set(args.left, args.sets, model.base)
-    right = _resolve_set(args.right, args.sets, model.base)
+    sets = None
+    if args.sets:
+        # Read once for both sides: the file may be a pipe.
+        with open(args.sets, encoding="utf-8") as fh:
+            sets = parse_set_file(fh.read())
+    left, right = (_resolve_set(name, sets, args.sets, model.base)
+                   for name in (args.left, args.right))
     if _summand_bound(left, right) > SUMMANDS_MAX:
         raise ValueError(f"--left {args.left} --right {args.right}: dual(left) (x) right "
                          f"may have more than {SUMMANDS_MAX} summands, the limit")
@@ -203,6 +216,10 @@ def _cmd_ext_total(args) -> Report:
         if l0 > LEVEL_MAX:
             raise ValueError(f"--cutoff auto: the certified l0 = {l0} is past "
                              f"the limit of {LEVEL_MAX} fiber levels")
+    elif _summand_bound(left.dual().tensor(right), (model.term(args.cutoff),),
+                        ROW_SUMMANDS_MAX) > ROW_SUMMANDS_MAX:
+        raise ValueError(f"--cutoff {args.cutoff}: row {args.cutoff} may have more than "
+                         f"{ROW_SUMMANDS_MAX} summands, the limit")
     table = ext_table(model, left, right, args.cutoff)
     print(f"model {model.name}, cutoff {table.cutoff}"
           + (f" (auto, l0={table.certificate.l0})" if table.certificate else ""))

@@ -262,7 +262,7 @@ class BundleSum(Value):
         merged: dict[tuple[Weight, ...], int] = {}
         for a in self.terms:
             for b in others:
-                per_block = [gl_tensor(x, y, s).items()
+                per_block = [_block_tensor(x, y, s)
                              for x, y, s in zip(a.blocks, b.blocks, sizes)]
                 for combo in product(*per_block):
                     blocks, coeffs = zip(*combo)
@@ -277,6 +277,18 @@ class BundleSum(Value):
     def signed_euler(self) -> int:
         """Alternating sum of cohomology dimensions, multiplicities included."""
         return sum(t.mult * c.signed_dim() for t, c in self.cohomology())
+
+
+def _block_tensor(x: Weight, y: Weight, m: int):
+    """The (weight, coefficient) pairs of V_x (x) V_y for GL(m), on weights of
+    length m.  A constant weight (c, ..., c) is det^c, whose product with V_y
+    is V_{y+c}, so it takes no Littlewood-Richardson product; for c = 0 the
+    result is y itself, not a copy."""
+    if x[0] == x[-1]:
+        return ((tuple([v + x[0] for v in y]) if x[0] else y, 1),)
+    if y[0] == y[-1]:
+        return ((tuple([v + y[0] for v in x]) if y[0] else x, 1),)
+    return gl_tensor(x, y, m).items()
 
 
 def degree_totals(pairs) -> dict[int, int]:

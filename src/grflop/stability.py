@@ -188,6 +188,31 @@ def hl_enumerate(w: Sequence[int], side: str) -> tuple[Weight, ...]:
                  if lo0 <= w0 <= hi0 and lo1 <= w1 <= hi1)
 
 
+def hl_max_size(side: str, lo: int, hi: int) -> tuple[int, tuple[int, int, int] | None]:
+    """The largest len(hl_enumerate(w, side)) over the box [lo, hi]^3, and the
+    first w attaining it in lexicographic order (None when every window is
+    empty).
+
+    For each w[2], every member of _slot2_members adds its rectangle of
+    (w[0], w[1]) ranges, clipped to the box, to one grid of window sizes.
+    """
+    best, best_w = 0, None
+    span = range(lo, hi + 1)
+    for w2 in span:
+        grid = [[0] * len(span) for _ in span]
+        for _, lo0, hi0, lo1, hi1 in _slot2_members(side, w2):
+            a, b = max(lo1, lo) - lo, min(hi1, hi) + 1 - lo
+            if a < b:
+                for i in range(max(lo0, lo) - lo, min(hi0, hi) + 1 - lo):
+                    grid[i][a:b] = [n + 1 for n in grid[i][a:b]]
+        for i, row in enumerate(grid):
+            n = max(row)
+            w = (lo + i, lo + row.index(n), w2)
+            if n > best or (n and n == best and w < best_w):
+                best, best_w = n, w
+    return best, best_w
+
+
 class ConeProblem(Value):
     """Constraint weights (by name) and a character, defining one strip of the
     unstable locus."""

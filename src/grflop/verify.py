@@ -19,7 +19,8 @@ from .exceptional import (ExceptionalCollection, builtin_collection,
 from .filtered import euler_cross_check, vanishing_suite
 from .homog import GR25, line_bundle, structure_sheaf
 from .report import Report
-from .stability import ConeProblem, hl_enumerate, kn_adapted, kn_stratification
+from .stability import (ConeProblem, hl_enumerate, hl_max_size, kn_adapted,
+                        kn_stratification)
 from .total_space import XPLUS, is_pretilting
 
 
@@ -65,14 +66,7 @@ def _check_windows(report: Report) -> None:
             f"hl-{side}-{'_'.join(str(x) for x in w)}",
             got == tuple(sorted(expected)),
             {"expected": sorted(expected), "got": list(got)})
-    worst = 0
-    worst_w = None
-    for w0 in range(-10, 11):
-        for w1 in range(-10, 11):
-            for w2 in range(-10, 11):
-                n = len(hl_enumerate((w0, w1, w2), "minus"))
-                if n > worst:
-                    worst, worst_w = n, (w0, w1, w2)
+    worst, worst_w = hl_max_size("minus", -10, 10)
     report.add_bool("hl-minus-size-bound", worst <= 6,
                     {"max_size": worst, "attained_at": list(worst_w) if worst_w else None,
                      "box": "[-10,10]^3"})

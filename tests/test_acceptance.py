@@ -204,12 +204,24 @@ class TestCriterion9PropertySuites:
 
 _WORK_COUNTS = """
 import json
-from grflop import filtered, homog, partitions, stability, total_space
-from grflop.verify import verify_all
-verify_all()
+from grflop import filtered, homog, partitions, stability, total_space, verify
+calls = {}
+
+def counted(module, name):
+    function = getattr(module, name)
+    def wrapper(*args):
+        key = f"{module.__name__}.{name}"
+        calls[key] = calls.get(key, 0) + 1
+        return function(*args)
+    setattr(module, name, wrapper)
+
+counted(homog, "gl_tensor")
+counted(verify, "hl_enumerate")
+verify.verify_all()
 memos = (total_space._ext_row, filtered._level_euler, partitions._gl_tensor,
          homog._bott, stability._slot2_members)
-print(json.dumps({f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}))
+counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
+print(json.dumps(dict(counts, **calls)))
 """
 
 
@@ -223,7 +235,11 @@ def test_verify_all_work_counts():
       heart that the cutoff-8 tables take from the pretilting tables.
     - _level_euler: spade and heart compute 128 levels (shift sum, level);
       club and diamond, with the same shift sums, hit all 128.
-    - _gl_tensor, _bott and the window ranges: 150, 771 and 22 distinct inputs.
+    - _gl_tensor, _bott and the window ranges: 107, 771 and 22 distinct inputs.
+    - Calls at two import sites: BundleSum.tensor takes 1,147 block products
+      through gl_tensor (9,102 before constant blocks were shifted instead),
+      and verify makes 3 hl_enumerate calls (9,264 before the box sweep read
+      the window range table).
     """
     src = str(Path(grflop.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -234,7 +250,9 @@ def test_verify_all_work_counts():
     assert counts["_ext_row"] == [36, 49]
     assert counts["_level_euler"] == [128, 128]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
-        [150, 771, 22]
+        [107, 771, 22]
+    assert [counts["grflop.homog.gl_tensor"], counts["grflop.verify.hl_enumerate"]] == \
+        [1147, 3]
 
 
 def _window_report(w) -> str:

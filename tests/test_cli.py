@@ -17,12 +17,12 @@ import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
-                        LEVEL_MAX, LR_MAX_BOXES, SUMMANDS_MAX, TWISTS_MAX, WEYL_MAX_M,
-                        _summand_bound, build_parser, main)
+                        LEVEL_MAX, LR_MAX_BOXES, ROW_SUMMANDS_MAX, SUMMANDS_MAX,
+                        TWISTS_MAX, WEYL_MAX_M, _summand_bound, build_parser, main)
 from grflop.homog import GR35, BundleSum, Cohomology
 from grflop.report import Report, encode_value
 from grflop.stability import ConeProblem, kn_adapted
-from grflop.total_space import ext_table
+from grflop.total_space import MODELS, ext_table
 from grflop.verify import verify_all
 
 
@@ -265,6 +265,77 @@ class TestExitCodes:
                     assert sum(t.mult for t in product) <= _summand_bound(left, right)
         assert max(_summand_bound(a, b) for a in sums[:5] for b in sums[:5]) == 227 \
             <= SUMMANDS_MAX
+
+    def test_set_file_read_once_from_a_pipe(self, capsys):
+        """--sets may name a pipe, which can be read only once: the file is
+        read once for --left and --right together."""
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, b"[d]\ngr(3,5) u=[1,0,0] q=[0,0]\n")
+            os.close(write_fd)
+            code = main(["ext-total", "--model", "xplus", "--left", "d", "--right", "d",
+                         "--sets", f"/dev/fd/{read_fd}", "--cutoff", "0"])
+        finally:
+            os.close(read_fd)
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert "any higher cohomology: False" in out
+
+    @pytest.mark.parametrize("left, right", [
+        ("gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[100,50,0] q=[0,0]"),
+        ("gr(3,5) u=[8,4,0] q=[0,0]", "gr(3,5) u=[8,4,0] q=[0,0]"),
+    ], ids=["o-100_50_0", "8_4_0"])
+    def test_large_row_refused_before_computing(self, left, right, tmp_path, capsys,
+                                                monkeypatch):
+        """ext-total --cutoff N whose bound on the summands of row N is past
+        ROW_SUMMANDS_MAX is a usage error raised before any row is built,
+        although the summands of dual(left) (x) right are within SUMMANDS_MAX."""
+        sets = tmp_path / "sets.txt"
+        sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
+        monkeypatch.setattr(grflop.cli, "ext_table",
+                            lambda *args: pytest.fail("ext_table was called"))
+        code = main(["ext-total", "--model", "xplus", "--left", "a", "--right", "b",
+                     "--sets", str(sets), "--cutoff", str(LEVEL_MAX)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --cutoff {LEVEL_MAX}: row {LEVEL_MAX} may have more than "
+            f"{ROW_SUMMANDS_MAX} summands, the limit\n")
+
+    def test_builtin_sets_run_at_the_level_limit(self, monkeypatch):
+        """Every pair of built-in sets reaches ext_table at --cutoff LEVEL_MAX."""
+        calls = []
+
+        def stub(model, left, right, cutoff="auto"):
+            calls.append(cutoff)
+            return ext_table(model, left, right, 0)
+        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        names = ("o",) + grflop.data.WINDOW_NAMES + ("kapranov",)
+        pairs = [("xplus", a, b) for a in names for b in names] + [("xminus", "o", "o")]
+        for model, left, right in pairs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["ext-total", "--model", model, "--left", left, "--right",
+                             right, "--cutoff", str(LEVEL_MAX)]) == EXIT_OK
+        assert calls == [LEVEL_MAX] * len(pairs)
+
+    def test_row_bound_holds(self):
+        """_summand_bound of a product and term(l) is at least the summand
+        count, with multiplicity, of row l, multiplicities above 1 included."""
+        sums = [grflop.data.window_sum_plus(n) for n in ("spade", "heart", "kapranov")]
+        sums += [parse_set_file(f"[a]\n{text}\n")["a"] for text in (
+            "gr(3,5) u=[4,2,0] q=[0,0]", "gr(3,5) u=[1,0,0] q=[0,0] mult=2",
+            "gr(3,5) u=[2,1,0] q=[1,-1] mult=3\ngr(3,5) u=[0,0,-2] q=[0,0]",
+            "gr(2,5) u=[1,0] q=[0,0,-2] mult=2\ngr(2,5) u=[2,2] q=[1,0,0]")]
+        for left in sums:
+            for right in sums:
+                if left.space != right.space:
+                    continue
+                model = next(m for m in MODELS.values() if m.base == left.space)
+                product = left.dual().tensor(right)
+                assert sum(t.mult for t in product) <= _summand_bound(left, right)
+                for l in range(4):
+                    term = model.term(l)
+                    row = sum(t.mult for t in product.tensor(term))
+                    assert row <= _summand_bound(product, (term,), 10 ** 9)
 
     def test_level_limit_is_inclusive(self):
         parser = build_parser()

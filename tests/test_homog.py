@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grflop import data
 from grflop.homog import (FL235, GR25, GR35, BundleSum, FlagVariety,
@@ -27,6 +27,17 @@ def bundles_on(space):
     return st.builds(
         lambda *blocks: HomogeneousBundle(space, tuple(blocks)),
         *[decreasing_tuple(s) for s in sizes])
+
+
+def sums_with_determinants(space):
+    """Sums of up to three terms, multiplicities 1..3, on `space`; about half
+    the blocks are constant (det^c, c possibly negative)."""
+    def block(length):
+        return st.one_of(decreasing_tuple(length),
+                         st.integers(-6, 6).map(lambda c: (c,) * length))
+    term = st.builds(lambda mult, *blocks: HomogeneousBundle(space, blocks, mult),
+                     st.integers(1, 3), *[block(s) for s in space.block_sizes()])
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: BundleSum.of(space, ts))
 
 
 class TestFlagVariety:
@@ -185,6 +196,20 @@ class TestOnePassTensor:
         assert_same_sum(u.with_mult(3).tensor(u.with_mult(2)),
                         tensor_per_pair(u.with_mult(3), u.with_mult(2)))
         assert all(t.mult >= 6 for t in u.with_mult(3).tensor(u.with_mult(2)))
+
+    @given(st.sampled_from([GR25, GR35, FL235]).flatmap(
+        lambda space: st.tuples(sums_with_determinants(space),
+                                sums_with_determinants(space))))
+    @example((BundleSum.of(GR35, [line_bundle(GR35, -3).with_mult(2)]),
+              BundleSum.of(GR35, [line_bundle(GR35, 2), structure_sheaf(GR35)])))
+    @settings(max_examples=150, deadline=None)
+    def test_determinant_blocks(self, pair):
+        """A constant block (det^c) only shifts the other block of its pair:
+        the result equals the reference, which takes every block through the
+        Littlewood-Richardson product, on all three spaces, with constant
+        blocks on one or both sides."""
+        x, y = pair
+        assert_same_sum(x.tensor(y), tensor_per_pair(x, y))
 
     @given(st.lists(bundles_on(FL235), min_size=1, max_size=3),
            st.lists(bundles_on(FL235), min_size=1, max_size=3),

@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grflop import data
+from grflop import data, stability
 from grflop.stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem,
-                              KNSolution, hl_enumerate, hl_membership,
-                              kn_adapted, kn_stratification)
+                              KNSolution, hl_enumerate, hl_max_size,
+                              hl_membership, kn_adapted, kn_stratification)
 from grflop.stability import _candidates, _in_window, _slot2_members, _window
 
 
@@ -139,6 +139,23 @@ class TestEnumerate:
             assert len(members) == 6
             assert max(chi[0] - chi[2] for chi in members) <= 1
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("lo, hi", [(-10, 10), (-3, 17), (4, 4), (-30, -25)])
+    def test_max_size_matches_loop(self, side, lo, hi):
+        """hl_max_size equals the loop over the box [lo, hi]^3: the size and
+        the first w attaining it (None on a box whose windows are all empty,
+        as [-30,-25]^3 on the plus side)."""
+        assert hl_max_size(side, lo, hi) == max_size_by_loop(side, lo, hi)
+
+    def test_max_size_ties_and_clipping(self, monkeypatch):
+        """On a made-up range table whose largest windows lie at two w[2],
+        hl_max_size picks the first w in (w0, w1, w2) order, not the first
+        w[2]; a member whose w[1] range lies below the box adds nothing."""
+        table = {0: (((0, 0, 0), 5, 5, 5, 5), ((1, 0, 0), -9, 9, -9, -5)),
+                 1: (((0, 0, 0), 0, 0, 0, 0),)}
+        monkeypatch.setattr(stability, "_slot2_members", lambda side, w2: table.get(w2, ()))
+        assert hl_max_size("plus", 0, 5) == max_size_by_loop("plus", 0, 5) == (1, (0, 0, 1))
+
     def test_size_bound_over_box(self):
         worst = 0
         for w0 in range(-10, 11):
@@ -146,6 +163,17 @@ class TestEnumerate:
                 for w2 in range(-10, 11):
                     worst = max(worst, len(hl_enumerate((w0, w1, w2), "minus")))
         assert worst <= 6
+
+
+def max_size_by_loop(side, lo, hi):
+    """Reference: the largest window over [lo, hi]^3 by a strict-> loop over
+    hl_enumerate in (w0, w1, w2) order, and the first w attaining it."""
+    worst, worst_w = 0, None
+    for w in product(range(lo, hi + 1), repeat=3):
+        n = len(hl_enumerate(w, side))
+        if n > worst:
+            worst, worst_w = n, w
+    return worst, worst_w
 
 
 KN_CASES = [
