@@ -136,7 +136,7 @@ def _cutoff_arg(text: str):
 
 def _resolve_set(name: str, sets: dict | None, sets_path: str | None, base) -> BundleSum:
     """A named bundle sum: a section of the set file parsed as `sets` (None
-    without one), a built-in window name, or 'o' for the structure sheaf of
+    without one), a name in data.PLUS_SETS, or 'o' for the structure sheaf of
     the model's base."""
     if sets is not None:
         if name in sets:
@@ -145,10 +145,10 @@ def _resolve_set(name: str, sets: dict | None, sets_path: str | None, base) -> B
     if name == "o":
         from .homog import structure_sheaf
         return BundleSum.of(base, [structure_sheaf(base)])
-    if name in data.WINDOW_WEIGHTS or name == "kapranov":
+    if name in data.PLUS_SETS:
         return data.window_sum_plus(name)
     raise ValueError(f"unknown set {name!r}; pass --sets FILE or use one of "
-                     f"o, {', '.join(data.WINDOW_NAMES)}, kapranov")
+                     f"o, {', '.join(data.PLUS_SETS)}")
 
 
 def _cmd_lr_mult(args) -> None:
@@ -177,7 +177,7 @@ def _cmd_bwb(args) -> Report:
         payload = {"acyclic": True}
     else:
         print(f"degree {c.degree}, weight {list(c.weight)}, dim {c.dim}")
-        payload = {"acyclic": False, "degree": c.degree, "weight": list(c.weight), "dim": c.dim}
+        payload = {"acyclic": False, "degree": c.degree, "weight": c.weight, "dim": c.dim}
     report = Report("bwb cohom", {"bundle": bundle.literal()})
     report.add("cohomology", "info", payload)
     return report
@@ -269,7 +269,7 @@ def _cmd_windows_enumerate(args) -> Report:
         print(list(chi))
     print(f"{len(weights)} weights")
     report = Report("windows enumerate", {"side": args.side, "w": list(args.w)})
-    report.add("weights", "info", [list(x) for x in weights])
+    report.add("weights", "info", weights)
     return report
 
 
@@ -281,7 +281,7 @@ def _cmd_windows_member(args) -> Report:
     report = Report("windows member", {"side": args.side, "w": list(args.w),
                                        "chi": list(args.chi)})
     report.add("membership", "info", {"member": membership.member,
-                                      "failed": list(membership.failed)})
+                                      "failed": membership.failed})
     return report
 
 
@@ -308,7 +308,7 @@ def _cmd_kn_strata(args) -> Report:
         return report
     for s in strata:
         print(f"M^2 = {s.value_sq}, weight {list(s.weight)}  ({s.description})")
-    report.add("strata", "info", list(strata))
+    report.add("strata", "info", strata)
     return report
 
 
@@ -388,7 +388,7 @@ COMMANDS = (
       _JSON), _cmd_ext_total),
     (("tilting", "check"), "self-Ext vanishing of a window bundle",
      (_arg("--model", choices=("xplus",), default="xplus"),
-      _arg("--window", choices=data.WINDOW_NAMES + ("kapranov",), required=True),
+      _arg("--window", choices=data.PLUS_SETS, required=True),
       _JSON), _cmd_tilting),
     (("suite", "minus-vanishing"), "minus-side vanishing battery", (_JSON,), _cmd_suite),
     (("euler", "compare"), "cross-side graded comparison",

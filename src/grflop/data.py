@@ -41,15 +41,15 @@ BOX_WEIGHTS_GR35: tuple[tuple[int, int, int], ...] = (
     (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2),
 )
 
+# The named weight sets of plus-side bundles: the four windows, then the box.
+PLUS_SETS = {**WINDOW_WEIGHTS, "kapranov": BOX_WEIGHTS_GR35}
+
 
 def window_sum_plus(name: str) -> BundleSum:
-    """The plus-side window bundle: sum of S^chi(dual subbundle) on Gr(3,5)."""
-    if name == "kapranov":
-        weights = BOX_WEIGHTS_GR35
-    else:
-        weights = WINDOW_WEIGHTS[name]
+    """The plus-side bundle of a PLUS_SETS name: sum of S^chi(dual subbundle)
+    on Gr(3,5)."""
     return BundleSum.of(GR35, [HomogeneousBundle(GR35, (chi, (0, 0)))
-                               for chi in weights])
+                               for chi in PLUS_SETS[name]])
 
 
 # Exceptional collections, as ordered lists of (space, first-block weight).

@@ -28,11 +28,11 @@ def builtin_collection(name: str) -> ExceptionalCollection:
 
 
 class Violation(Value):
-    __slots__ = ("kind", "source", "target", "degree", "dim")
+    """A nonzero Ext^degree of dimension dim from object source to object
+    target of a collection; kind is "exceptional", "semiorthogonality" or
+    "strongness"."""
 
-    def __init__(self, kind: str, source: int, target: int, degree: int, dim: int):
-        # kind is "exceptional", "semiorthogonality" or "strongness"
-        super().__init__(kind, source, target, degree, dim)
+    __slots__ = ("kind", "source", "target", "degree", "dim")
 
     def as_json(self) -> dict:
         return {"kind": self.kind, "source": self.source, "target": self.target,
@@ -41,10 +41,6 @@ class Violation(Value):
 
 class CollectionReport(Value):
     __slots__ = ("collection", "violations")
-
-    def __init__(self, collection: ExceptionalCollection,
-                 violations: tuple[Violation, ...]):
-        super().__init__(collection, violations)
 
     @property
     def passed(self) -> bool:
@@ -110,15 +106,10 @@ def builtin_resolution(name: str) -> ResolutionSequence:
 
 
 class ResolutionReport(Value):
-    __slots__ = ("sequence", "rank_sum", "twists", "euler_sums", "degree_table")
+    """``euler_sums`` holds ``(twist, alternating signed-dim sum)`` pairs and
+    ``degree_table`` ``(twist, term, degree, dim)`` rows."""
 
-    def __init__(self, sequence: ResolutionSequence, rank_sum: int,
-                 twists: tuple[int, ...],
-                 euler_sums: tuple[tuple[int, int], ...],
-                 degree_table: tuple[tuple[int, int, int, int], ...]):
-        # euler_sums: (twist, alternating signed-dim sum);
-        # degree_table: (twist, term, degree, dim)
-        super().__init__(sequence, rank_sum, twists, euler_sums, degree_table)
+    __slots__ = ("sequence", "rank_sum", "twists", "euler_sums", "degree_table")
 
     @property
     def passed(self) -> bool:
@@ -128,9 +119,9 @@ class ResolutionReport(Value):
         return {
             "name": self.sequence.name,
             "rank_sum": self.rank_sum,
-            "twists": list(self.twists),
-            "euler_sums": [[t, s] for t, s in self.euler_sums],
-            "degree_table": [list(row) for row in self.degree_table],
+            "twists": self.twists,
+            "euler_sums": self.euler_sums,
+            "degree_table": self.degree_table,
             "passed": self.passed,
         }
 

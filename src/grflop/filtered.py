@@ -189,9 +189,6 @@ def _level_euler(s: BundleSum, m: int) -> int:
 class SuiteItem(Value):
     __slots__ = ("check_id", "description", "passed", "details")
 
-    def __init__(self, check_id: str, description: str, passed: bool, details: dict):
-        super().__init__(check_id, description, passed, details)
-
 
 def vanishing_suite() -> tuple[SuiteItem, ...]:
     """The fixed battery of minus-side vanishing checks.

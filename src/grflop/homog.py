@@ -78,9 +78,6 @@ class Cohomology(Value):
 
     __slots__ = ("degree", "weight", "dim")
 
-    def __init__(self, degree: int | None, weight: Weight | None, dim: int):
-        super().__init__(degree, weight, dim)
-
     @property
     def is_acyclic(self) -> bool:
         return self.degree is None
@@ -211,9 +208,6 @@ class BundleSum(Value):
     """Canonical finite direct sum of homogeneous bundles on one flag variety."""
 
     __slots__ = ("space", "terms")
-
-    def __init__(self, space: FlagVariety, terms: tuple[HomogeneousBundle, ...]):
-        super().__init__(space, terms)
 
     @classmethod
     def of(cls, space: FlagVariety, terms) -> "BundleSum":

@@ -101,9 +101,6 @@ def _in_window(chi: Weight, window) -> bool:
 class Membership(Value):
     __slots__ = ("member", "failed")
 
-    def __init__(self, member: bool, failed: tuple[str, ...]):
-        super().__init__(member, failed)
-
 
 def hl_membership(chi: Iterable[int], w: Sequence[int], side: str) -> Membership:
     """Test the graded-restriction window conditions for a dominant weight.
@@ -242,9 +239,6 @@ class KNSolution(Value):
 
     __slots__ = ("value_sq", "minimizer")
 
-    def __init__(self, value_sq: Fraction | None, minimizer: tuple[int, int, int] | None):
-        super().__init__(value_sq, minimizer)
-
     @property
     def destabilizing(self) -> bool:
         return self.value_sq is not None
@@ -254,8 +248,8 @@ class KNSolution(Value):
             return {"status": "nonnegative", "value_sq": None, "minimizer": None}
         return {
             "status": "destabilizing",
-            "value_sq": {"num": self.value_sq.numerator, "den": self.value_sq.denominator},
-            "minimizer": list(self.minimizer),
+            "value_sq": self.value_sq,
+            "minimizer": self.minimizer,
         }
 
 
@@ -327,18 +321,14 @@ class Stratum(Value):
 
     __slots__ = ("side", "description", "problem", "value_sq", "weight")
 
-    def __init__(self, side: str, description: str, problem: ConeProblem,
-                 value_sq: Fraction, weight: tuple[int, int, int]):
-        super().__init__(side, description, problem, value_sq, weight)
-
     def as_json(self) -> dict:
         return {
             "side": self.side,
             "description": self.description,
-            "supports": list(self.problem.supports),
+            "supports": self.problem.supports,
             "character": self.problem.character,
-            "value_sq": {"num": self.value_sq.numerator, "den": self.value_sq.denominator},
-            "weight": list(self.weight),
+            "value_sq": self.value_sq,
+            "weight": self.weight,
         }
 
 

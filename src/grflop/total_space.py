@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .homog import (BundleSum, Cohomology, FlagVariety, GR25, GR35,
-                    HomogeneousBundle, as_sum, degree_totals)
+from .homog import (BundleSum, FlagVariety, GR25, GR35, HomogeneousBundle,
+                    as_sum, degree_totals)
 from .value import Value
 
 
@@ -65,9 +65,6 @@ class CutoffCertificate(Value):
 
     __slots__ = ("l0", "binding")
 
-    def __init__(self, l0: int, binding: HomogeneousBundle | None):
-        super().__init__(l0, binding)
-
     def as_json(self) -> dict:
         out = {"l0": self.l0}
         out["binding_summand"] = None if self.binding is None else self.binding.literal()
@@ -107,14 +104,11 @@ def _certify(model: TotalSpaceModel, product) -> CutoffCertificate:
 
 
 class ExtTable(Value):
-    """Per-fiber-degree cohomology of dual(left) (x) right on a total space."""
+    """Per-fiber-degree cohomology of dual(left) (x) right on a total space:
+    ``rows`` holds ``(level, ((summand, Cohomology), ...))`` for each level
+    0..cutoff, and ``certificate`` is None unless the cutoff was certified."""
 
     __slots__ = ("model", "rows", "cutoff", "certificate")
-
-    def __init__(self, model: TotalSpaceModel,
-                 rows: tuple[tuple[int, tuple[tuple[HomogeneousBundle, Cohomology], ...]], ...],
-                 cutoff: int, certificate: CutoffCertificate | None):
-        super().__init__(model, rows, cutoff, certificate)
 
     @property
     def any_higher_cohomology(self) -> bool:
@@ -205,14 +199,11 @@ def _ext_row(model: TotalSpaceModel, product: BundleSum, l: int):
 
 
 class PretiltingReport(Value):
-    """Outcome of a self-Ext vanishing check."""
+    """Outcome of a self-Ext vanishing check: ``witnesses`` holds a
+    ``(level, summand, degree, dim)`` tuple for every positive-degree entry of
+    ``table``, and ``ok`` says there is none."""
 
     __slots__ = ("ok", "witnesses", "table")
-
-    def __init__(self, ok: bool,
-                 witnesses: tuple[tuple[int, HomogeneousBundle, int, int], ...],
-                 table: ExtTable):
-        super().__init__(ok, witnesses, table)
 
     def as_json(self) -> dict:
         return {

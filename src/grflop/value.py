@@ -1,11 +1,11 @@
 """Immutable value classes built on ``__slots__``.
 
 A ``Value`` subclass lists its fields in ``__slots__``, in constructor order,
-and its own ``__init__`` validates the arguments and passes them on to
-``Value.__init__``.  Equality, hashing, immutability and the repr are derived
-once, here, from ``__slots__``: no method is generated or compiled per class
-at import, which keeps the start of every grflop process cheap (see the
-README's note on import cost)."""
+and nowhere else: it writes an ``__init__`` only to validate or normalize its
+arguments before passing them on to ``Value.__init__``.  Equality, hashing,
+immutability and the repr are derived once, here, from ``__slots__``: no
+method is generated or compiled per class at import, which keeps the start of
+every grflop process cheap (see the README's note on import cost)."""
 
 from __future__ import annotations
 
@@ -22,7 +22,10 @@ class Value:
     __slots__ = ()
 
     def __init__(self, *values):
-        """Assign `values` to the fields, in ``__slots__`` order."""
+        """Assign one value to each field, in ``__slots__`` order."""
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self.__slots__)} "
+                            f"values, got {len(values)}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

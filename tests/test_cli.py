@@ -409,9 +409,9 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_check_failure_exit(self, capsys, monkeypatch):
-        corrupted = dict(grflop.data.WINDOW_WEIGHTS)
+        corrupted = dict(grflop.data.PLUS_SETS)
         corrupted["spade"] = corrupted["spade"][:-1] + ((-5, -5, -5),)
-        monkeypatch.setattr(grflop.data, "WINDOW_WEIGHTS", corrupted)
+        monkeypatch.setattr(grflop.data, "PLUS_SETS", corrupted)
         assert main(["tilting", "check", "--model", "xplus",
                      "--window", "spade"]) == EXIT_FAIL
         out = capsys.readouterr().out

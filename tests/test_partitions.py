@@ -2,17 +2,20 @@
 
 The LR production code grows fillings strip by strip; the oracle here fills
 the skew shape box by box and checks the lattice word at the end, so the two
-paths share nothing but the definition.
+paths share nothing but the definition.  A second oracle evaluates Weyl
+characters by the bialternant formula, with no LR at all.
 """
 
 import re
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop.partitions import (WeightedSum, as_partition, gl_tensor,
                                lr_coefficient, lr_mult, shift, weyl_dim)
+from grflop.homog import _block_tensor
 from grflop.partitions import _gl_tensor, _lr_products
 
 
@@ -285,6 +288,64 @@ class TestGLTensor:
         left = tensor_sum(gl_tensor(a, b, m), c)
         right = tensor_sum(gl_tensor(b, c, m), a)
         assert left == right
+
+
+def _det(rows):
+    """Leibniz determinant of a small square matrix."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def character(lam, x):
+    """The GL(m) character of highest weight lam at the point x, exactly: the
+    bialternant det(x_i^(lam_j + m - j)) / det(x_i^(m - j)), j = 1..m."""
+    m = len(lam)
+    return (_det([[xi ** (lam[j] + m - 1 - j) for j in range(m)] for xi in x])
+            / _det([[xi ** (m - 1 - j) for j in range(m)] for xi in x]))
+
+
+# Two points with distinct nonzero rational coordinates; GL(m) takes the first m.
+CHARACTER_POINTS = ((Fraction(2), Fraction(-1, 3), Fraction(5, 7)),
+                    (Fraction(3, 2), Fraction(-2), Fraction(1, 5)))
+
+
+class TestCharacterOracle:
+    def test_oracle_sanity(self):
+        """chi_(1,0) = x1 + x2, chi_(1,1) = x1 x2, chi_(0,-1) = 1/x1 + 1/x2; a
+        product missing a summand does not pass."""
+        x = CHARACTER_POINTS[0][:2]
+        assert character((1, 0), x) == x[0] + x[1]
+        assert character((1, 1), x) == x[0] * x[1]
+        assert character((0, -1), x) == 1 / x[0] + 1 / x[1]
+        assert character((1, 0), x) ** 2 != character((2, 0), x)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rule", [gl_tensor, _block_tensor],
+                             ids=["gl_tensor", "block_tensor"])
+    def test_products_match_characters(self, rule, m):
+        """chi_lam chi_mu = sum of c_nu chi_nu at both points, for every pair of
+        dominant weights with entries in [-2, 2], constant ones included."""
+        weights = list(combinations_with_replacement(range(2, -3, -1), m))
+        points = [x[:m] for x in CHARACTER_POINTS]
+        memo = {}
+
+        def chi(w, k):
+            if (w, k) not in memo:
+                memo[w, k] = character(w, points[k])
+            return memo[w, k]
+
+        for lam in weights:
+            for mu in weights:
+                terms = list(rule(lam, mu, m))
+                for k in range(len(points)):
+                    assert chi(lam, k) * chi(mu, k) == \
+                        sum(c * chi(nu, k) for nu, c in terms), (lam, mu)
 
 
 class TestShift:

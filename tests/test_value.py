@@ -1,5 +1,6 @@
 """Value classes: the import contract and the semantics every record shares."""
 
+import ast
 import copy
 import importlib.util
 import json
@@ -162,6 +163,44 @@ def test_validation_moved_into_init():
         FlagVariety(5, (3, 2))
     with pytest.raises(ValueError, match="empty collection"):
         ExceptionalCollection("none", GR35, ())
+
+
+def pass_through_inits(package: Path) -> list[str]:
+    """``module.Class`` for every Value subclass in `package` whose __init__
+    does nothing but call ``super().__init__(...)``, after a docstring."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(ast.unparse(b) == "Value" for b in cls.bases)):
+                continue
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+                    body = f.body[1:] if ast.get_docstring(f) is not None else f.body
+                    if len(body) == 1 and ast.unparse(body[0]).startswith("super().__init__("):
+                        found.append(f"{path.stem}.{cls.name}")
+    return found
+
+
+def test_no_pass_through_init():
+    """A record's fields are declared once, in __slots__: an __init__ that only
+    forwards its arguments repeats them twice more."""
+    assert pass_through_inits(Path(grflop.__file__).parent) == []
+
+
+class _Pair(Value):
+    __slots__ = ("first", "second")
+
+
+@pytest.mark.parametrize("cls", [_Pair] + [c for c in FACTORIES if "__init__" not in vars(c)],
+                         ids=lambda cls: cls.__name__)
+def test_field_count_is_checked(cls):
+    """A subclass without its own __init__ takes exactly one value per field."""
+    n = len(cls.__slots__)
+    for count in (n - 1, n + 1):
+        with pytest.raises(TypeError,
+                           match=f"^{cls.__qualname__} takes {n} values, got {count}$"):
+            cls(*range(count))
 
 
 def test_report_defaults_are_not_shared():
