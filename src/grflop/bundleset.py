@@ -52,10 +52,7 @@ def parse_bundle(line: str) -> HomogeneousBundle:
     if not tokens:
         raise ValueError("empty bundle literal")
     space = parse_space(tokens[0])
-    if space.is_grassmannian:
-        names = ["u", "q"]
-    else:
-        names = [f"b{i + 1}" for i in range(len(space.block_sizes()))]
+    names = list(space.block_names())
     fields: dict[str, str] = {}
     for tok in tokens[1:]:
         m = _FIELD_RE.match(tok)
@@ -79,10 +76,6 @@ def parse_sum(lines) -> BundleSum:
     if not bundles:
         raise ValueError("empty bundle sum")
     return BundleSum.of(bundles[0].space, bundles)
-
-
-def serialize_sum(s: BundleSum) -> list[str]:
-    return [t.literal() for t in s.terms]
 
 
 def parse_set_file(text: str) -> dict[str, BundleSum]:
@@ -116,5 +109,5 @@ def serialize_set_file(sets: dict[str, BundleSum]) -> str:
     chunks = []
     for name, s in sets.items():
         chunks.append(f"[{name}]")
-        chunks.extend(serialize_sum(s))
+        chunks.extend(t.literal() for t in s.terms)
     return "\n".join(chunks) + "\n"

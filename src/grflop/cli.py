@@ -22,7 +22,7 @@ from .exceptional import (builtin_collection, builtin_resolution,
                           check_collection, check_resolution)
 from .filtered import euler_cross_check, vanishing_suite
 from .homog import BundleSum
-from .partitions import as_partition, as_weight, lr_coefficient, lr_mult, weyl_dim
+from .partitions import lr_coefficient, lr_mult, weyl_dim
 from .report import Report
 from .stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem, hl_enumerate,
                         hl_membership, kn_adapted, kn_stratification)
@@ -83,20 +83,16 @@ def _window_w_arg(text: str) -> tuple[int, int, int]:
     return w
 
 
-def _nonneg_int_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}") from exc
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {v}")
-    return v
-
-
 def _at_most(limit: int):
     """An argument type: a nonnegative integer of at most `limit`."""
     def parse(text: str) -> int:
-        v = _nonneg_int_arg(text)
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected a nonnegative integer, got {text!r}") from exc
+        if v < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {v}")
         if v > limit:
             raise argparse.ArgumentTypeError(f"must be at most {limit}, got {v}")
         return v
@@ -152,17 +148,16 @@ def _resolve_set(name: str, sets: dict | None, sets_path: str | None, base) -> B
 
 
 def _cmd_lr_mult(args) -> None:
-    for w, c in lr_mult(as_partition(args.lam), as_partition(args.mu)):
+    for w, c in lr_mult(args.lam, args.mu):
         print(f"{c}  {list(w)}")
 
 
 def _cmd_lr_coeff(args) -> None:
-    print(lr_coefficient(as_partition(args.nu), as_partition(args.lam),
-                         as_partition(args.mu)))
+    print(lr_coefficient(args.nu, args.lam, args.mu))
 
 
 def _cmd_weyl(args) -> None:
-    print(weyl_dim(as_weight(args.lam), args.m))
+    print(weyl_dim(args.lam, args.m))
 
 
 def _cmd_bwb(args) -> Report:
@@ -174,12 +169,10 @@ def _cmd_bwb(args) -> Report:
     print(bundle.literal())
     if c.is_acyclic:
         print("acyclic")
-        payload = {"acyclic": True}
     else:
         print(f"degree {c.degree}, weight {list(c.weight)}, dim {c.dim}")
-        payload = {"acyclic": False, "degree": c.degree, "weight": c.weight, "dim": c.dim}
     report = Report("bwb cohom", {"bundle": bundle.literal()})
-    report.add("cohomology", "info", payload)
+    report.add("cohomology", "info", c)
     return report
 
 

@@ -52,20 +52,20 @@ def window_sum_plus(name: str) -> BundleSum:
                                for chi in PLUS_SETS[name]])
 
 
-# Exceptional collections, as ordered lists of (space, first-block weight).
+# Exceptional collections: the base space, then the first-block weights in order.
 # Line bundles and subbundle twists on Gr(2,5) are encoded through the first
 # block as well: O(a) = (a,a) and U_2(b) = (b, b-1).
 _COLLECTION_WEIGHTS: dict[str, tuple[object, ...]] = {
     # mutated collection, five line bundles
-    "prop31-1": ("gr35", (-1, -1, -1), (0, -1, -1), (0, 0, 0), (1, 0, 0),
+    "prop31-1": (GR35, (-1, -1, -1), (0, -1, -1), (0, 0, 0), (1, 0, 0),
                  (1, 1, 0), (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 3, 3)),
     # mutated collection with the twisted symmetric square
-    "prop31-2": ("gr35", (-1, -1, -1), (0, -1, -1), (1, -1, -1), (0, 0, 0),
+    "prop31-2": (GR35, (-1, -1, -1), (0, -1, -1), (1, -1, -1), (0, 0, 0),
                  (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)),
     # box collection in lexicographic order (refines containment of shapes)
-    "kapranov-gr35": ("gr35",) + tuple(sorted(BOX_WEIGHTS_GR35)),
+    "kapranov-gr35": (GR35,) + tuple(sorted(BOX_WEIGHTS_GR35)),
     # alternating line bundles and subbundle twists on Gr(2,5)
-    "lef-gr25": ("gr25", (-3, -3), (-2, -3), (-2, -2), (-1, -2), (-1, -1),
+    "lef-gr25": (GR25, (-3, -3), (-2, -3), (-2, -2), (-1, -2), (-1, -1),
                  (0, -1), (0, 0), (1, 0), (1, 1), (2, 1)),
 }
 
@@ -73,9 +73,8 @@ COLLECTION_NAMES = tuple(_COLLECTION_WEIGHTS)
 
 
 def collection_objects(name: str) -> tuple[HomogeneousBundle, ...]:
-    row = _COLLECTION_WEIGHTS[name]
-    space = GR35 if row[0] == "gr35" else GR25
-    return tuple(schur_sub_dual(space, w) for w in row[1:])
+    space, *weights = _COLLECTION_WEIGHTS[name]
+    return tuple(schur_sub_dual(space, w) for w in weights)
 
 
 # Four-term exact complexes on Gr(3,5): (sign, first-block weight, multiplicity).

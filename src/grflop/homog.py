@@ -62,6 +62,12 @@ class FlagVariety(Value):
             return ("O",)
         return tuple(f"H{d}" for d in self.dims)
 
+    def block_names(self) -> tuple[str, ...]:
+        """The field names of the blocks in a bundle literal, in block order."""
+        if self.is_grassmannian:
+            return ("u", "q")
+        return tuple(f"b{i + 1}" for i in range(len(self.dims) + 1))
+
     def __str__(self) -> str:
         if self.is_grassmannian:
             return f"gr({self.dims[0]},{self.n})"
@@ -86,6 +92,12 @@ class Cohomology(Value):
         if self.is_acyclic:
             return 0
         return self.dim if self.degree % 2 == 0 else -self.dim
+
+    def as_json(self) -> dict:
+        if self.is_acyclic:
+            return {"acyclic": True}
+        return {"acyclic": False, "degree": self.degree, "weight": self.weight,
+                "dim": self.dim}
 
     def __repr__(self) -> str:
         if self.is_acyclic:
@@ -172,7 +184,7 @@ class HomogeneousBundle(Value):
         if generator not in gens:
             raise ValueError(f"unknown generator {generator!r} for {self.space}; "
                              f"valid: {', '.join(gens)}")
-        upto = 1 if generator == "O" else self.space.dims.index(int(generator[1:])) + 1
+        upto = gens.index(generator) + 1
         blocks = tuple(tuple(x + a for x in b) if i < upto else b
                        for i, b in enumerate(self.blocks))
         return HomogeneousBundle(self.space, blocks, self.mult)
@@ -187,17 +199,10 @@ class HomogeneousBundle(Value):
         concatenated = tuple(x for b in self.blocks for x in b)
         return bott(self.space, concatenated)
 
-    def key(self) -> tuple[Weight, ...]:
-        return self.blocks
-
     def literal(self) -> str:
         """Canonical one-line text form, e.g. ``gr(3,5) u=[2,2,1] q=[0,0] mult=1``."""
-        if self.space.is_grassmannian:
-            names = ("u", "q")
-        else:
-            names = tuple(f"b{i + 1}" for i in range(len(self.blocks)))
         body = " ".join(f"{nm}=[{','.join(map(str, b))}]"
-                        for nm, b in zip(names, self.blocks))
+                        for nm, b in zip(self.space.block_names(), self.blocks))
         return f"{self.space} {body} mult={self.mult}"
 
     def __repr__(self) -> str:
@@ -215,7 +220,7 @@ class BundleSum(Value):
         for t in terms:
             if t.space != space:
                 raise ValueError("all terms must live on the same space")
-            merged[t.key()] = merged.get(t.key(), 0) + t.mult
+            merged[t.blocks] = merged.get(t.blocks, 0) + t.mult
         return cls._canonical(space, merged)
 
     @classmethod
@@ -231,11 +236,6 @@ class BundleSum(Value):
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __add__(self, other: "BundleSum") -> "BundleSum":
-        if self.space != other.space:
-            raise ValueError("cannot add sums on different spaces")
-        return BundleSum.of(self.space, self.terms + other.terms)
 
     def rank(self) -> int:
         return sum(t.rank() for t in self.terms)

@@ -234,13 +234,9 @@ def lr_mult(lam: Iterable[int], mu: Iterable[int]) -> WeightedSum:
     Returns sum of c^nu_{lam,mu} * nu over partitions nu with
     |nu| = |lam| + |mu|; coefficients count lattice-word skew tableaux.
     """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    lam_s = strip_zeros(lam)
-    mu_s = strip_zeros(mu)
-    max_rows = len(lam_s) + len(mu_s)
-    table = _lr_products(lam_s, mu_s, max_rows)
-    return WeightedSum(table, length=max_rows)
+    lam = strip_zeros(as_partition(lam))
+    mu = strip_zeros(as_partition(mu))
+    return gl_tensor(lam, mu, len(lam) + len(mu))
 
 
 def lr_coefficient(nu: Iterable[int], lam: Iterable[int], mu: Iterable[int]) -> int:

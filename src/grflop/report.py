@@ -36,11 +36,10 @@ def encode_value(x):
 class Report:
     """Aggregated result of one command: per-check records plus a summary."""
 
-    def __init__(self, command: str, input_echo: dict | None = None,
-                 checks: list | None = None):
+    def __init__(self, command: str, input_echo: dict | None = None):
         self.command = command
         self.input_echo = {} if input_echo is None else input_echo
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def add(self, check_id: str, status: str, payload=None) -> None:
         if status not in (PASS, FAIL, INFO):

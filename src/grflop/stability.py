@@ -275,13 +275,10 @@ def _project_off(r, vectors):
 
 
 def _primitive(p) -> tuple[int, int, int]:
-    denom = 1
-    for x in p:
-        denom = lcm(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in p]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    p = [Fraction(x) for x in p]
+    denom = lcm(*(x.denominator for x in p))
+    ints = [int(x * denom) for x in p]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -300,8 +297,8 @@ def kn_adapted(problem: ConeProblem) -> KNSolution:
     best_sq: Fraction | None = None
     best_ray: tuple[int, int, int] | None = None
     indices = list(range(len(names)))
-    subsets = [()] + [s for size in range(1, len(indices) + 1)
-                      for s in combinations(indices, size)]
+    subsets = [s for size in range(len(indices) + 1)
+               for s in combinations(indices, size)]
     for subset in subsets:
         p = _project_off(r, [constraints[i] for i in subset])
         if not any(p):

@@ -149,12 +149,7 @@ class ExtTable(Value):
     def as_json(self) -> dict:
         rows = []
         for l, entries in self.rows:
-            terms = []
-            for t, c in entries:
-                coh = {"acyclic": True} if c.is_acyclic else \
-                    {"acyclic": False, "degree": c.degree,
-                     "weight": list(c.weight), "dim": c.dim}
-                terms.append({"bundle": t.literal(), "cohomology": coh})
+            terms = [{"bundle": t.literal(), "cohomology": c.as_json()} for t, c in entries]
             rows.append({"level": l, "terms": terms})
         return {
             "model": self.model.name,
@@ -210,8 +205,7 @@ class PretiltingReport(Value):
             "ok": self.ok,
             "witnesses": [{"level": l, "bundle": t.literal(), "degree": d, "dim": n}
                           for l, t, d, n in self.witnesses],
-            "cutoff": self.table.certificate.as_json()
-            if self.table.certificate else {"l0": self.table.cutoff},
+            "cutoff": self.table.certificate.as_json(),
         }
 
 

@@ -25,14 +25,13 @@ from .total_space import XPLUS, is_pretilting
 
 
 def _check_tilting(report: Report) -> None:
+    results = {name: is_pretilting(XPLUS, data.window_sum_plus(name))
+               for name in data.PLUS_SETS}
     for star in data.WINDOW_NAMES:
-        result = is_pretilting(XPLUS, data.window_sum_plus(star))
-        report.add_bool(f"tilting-xplus-{star}", result.ok, result)
-        if star == "spade":
-            cert = result.table.certificate
+        report.add_bool(f"tilting-xplus-{star}", results[star].ok, results[star])
+    cert = results["spade"].table.certificate
     report.add_bool("cutoff-spade-equals-4", cert.l0 == 4, cert)
-    result = is_pretilting(XPLUS, data.window_sum_plus("kapranov"))
-    report.add_bool("tilting-xplus-kapranov", result.ok, result)
+    report.add_bool("tilting-xplus-kapranov", results["kapranov"].ok, results["kapranov"])
 
 
 def _check_vanishing(report: Report) -> None:

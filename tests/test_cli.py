@@ -19,7 +19,7 @@ from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
                         LEVEL_MAX, LR_MAX_BOXES, ROW_SUMMANDS_MAX, SUMMANDS_MAX,
                         TWISTS_MAX, WEYL_MAX_M, _summand_bound, build_parser, main)
-from grflop.homog import GR35, BundleSum, Cohomology
+from grflop.homog import FL235, GR35, BundleSum, Cohomology, HomogeneousBundle
 from grflop.report import Report, encode_value
 from grflop.stability import ConeProblem, kn_adapted
 from grflop.total_space import MODELS, ext_table
@@ -45,6 +45,9 @@ class TestBundleLiterals:
     def test_literal_round_trip(self):
         text = "gr(3,5) u=[2,2,1] q=[0,0] mult=3"
         assert parse_bundle(text).literal() == text
+        for bundle in (HomogeneousBundle(GR35, ((2, 2, 1), (0, -1)), 3),
+                       HomogeneousBundle(FL235, ((1, 1), (-1,), (0, 0)), 2)):
+            assert parse_bundle(bundle.literal()) == bundle
 
     @pytest.mark.parametrize("bad", [
         "",
@@ -484,6 +487,15 @@ class TestCommands:
         table = payload["checks"][0]["payload"]
         assert table["any_higher_cohomology"] is False
         assert table["certificate"]["l0"] == 4
+        # Each term's cohomology, acyclic or not, is its Cohomology.as_json.
+        seen = set()
+        for term in (term for row in table["rows"] for term in row["terms"]):
+            c = parse_bundle(term["bundle"]).cohomology()
+            expected = {"acyclic": True} if c.is_acyclic else \
+                {"acyclic": False, "degree": c.degree, "weight": list(c.weight), "dim": c.dim}
+            assert term["cohomology"] == expected == encode_value(c.as_json())
+            seen.add(c.is_acyclic)
+        assert seen == {True, False}
 
     def test_ext_total_with_set_file(self, tmp_path, capsys):
         sets = tmp_path / "sets.txt"

@@ -157,7 +157,7 @@ def tensor_per_pair(x, y) -> BundleSum:
 
 def assert_same_sum(got: BundleSum, expected: BundleSum):
     assert got == expected
-    assert [t.key() for t in got] == sorted(t.key() for t in got)
+    assert [t.blocks for t in got] == sorted(t.blocks for t in got)
     for t in got:
         rebuilt = HomogeneousBundle(t.space, t.blocks, t.mult)
         assert rebuilt == t and hash(rebuilt) == hash(t)

@@ -110,6 +110,19 @@ class TestLRProducts:
         assert lr_mult((), ()) == WeightedSum({(): 1})
         assert expand(lr_mult((2, 1), ())) == {(2, 1): 1}
 
+    @pytest.mark.parametrize("lam, mu", [
+        ((), ()), ((2, 1), ()), ((), (1, 1)), ((0, 0), (0,)),
+        ((1, 0, 0, 0), (1,)), ((2, 1, 0), (1, 1, 0, 0)),
+    ])
+    def test_matches_lr_products(self, lam, mu):
+        """lr_mult, which goes through gl_tensor, is the LR rule on the
+        partitions without their trailing zeros, on len(lam) + len(mu) rows."""
+        lam_s, mu_s = (tuple(x for x in p if x) for p in (lam, mu))
+        rows = len(lam_s) + len(mu_s)
+        got = lr_mult(lam, mu)
+        assert got.length == rows
+        assert expand(got) == _lr_products(lam_s, mu_s, rows)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             lr_mult((1, 2), (1,))
@@ -157,6 +170,7 @@ class TestWeylDim:
 
     def test_adjoint_like(self):
         assert weyl_dim((2, 1, 0), 3) == 8
+        assert weyl_dim((2, 1), 3) == 8
 
     def test_wedge_two_of_five(self):
         assert weyl_dim((1, 1), 5) == 10
