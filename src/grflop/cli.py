@@ -12,9 +12,10 @@ stdout closed it early, with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from math import prod
+from math import inf, prod
 
 from . import __version__, data
 from .bundleset import parse_bundle, parse_set_file
@@ -57,7 +58,11 @@ SUMMANDS_MAX = 256
 # `--cutoff 100` the row bound of _summand_bound is 1,225 for kapranov against
 # itself (about 2 s), 1,764 for u=[5,2,0] against itself (6 s) and 5,151 for
 # o against u=[100,50,0] (30 s).  Rows grow with l, so a numeric cutoff is
-# refused when the bound on its own row is past this limit.
+# refused when the bound on its own row is past this limit.  At `--cutoff
+# auto` that row bound, taken at l0, orders two cases the wrong way round:
+# o against u=[0,0,-100] (l0 = 100, 2.4 s) has 5,151 and o against
+# u=[50,0,-50] (l0 = 50, 4.8 s) 1,326.  So auto is refused on the Pieri
+# bound of _summand_bound instead, which holds for every row: 101 and 2,601.
 ROW_SUMMANDS_MAX = 1500
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
 # steeply with the number of boxes: the worst shapes found take about a second
@@ -176,13 +181,27 @@ def _cmd_bwb(args) -> Report:
     return report
 
 
-def _summand_bound(left, right, limit: int = SUMMANDS_MAX) -> int:
+def _summand_bound(left, right, limit: int = SUMMANDS_MAX, pieri: bool = False) -> int:
     """An upper bound on the summands, with multiplicity, of dual(left) (x)
     right, or of left (x) right, for two sums of bundles: the sum over term
     pairs of their multiplicities times the product over blocks of the smaller
-    block dimension.  The sum stops once it is past `limit`."""
-    dims = [[(t.mult, tuple(weyl_dim(b, len(b)) for b in t.blocks)) for t in s]
-            for s in (left, right)]
+    block dimension.  The sum stops once it is past `limit`.
+
+    With `pieri`, every block of `right` must be det^c or Sym^l up to det
+    and duality, as every block of a term(l) is.  By Pieri's rule V_beta
+    times such a block has at most prod_i (beta_i - beta_{i+1} + 1) summands
+    whatever l (one against det^c), which stands in for the smaller
+    dimension: the sum bounds the product with term(l) for every l at once."""
+    def dim(b):
+        return weyl_dim(b, len(b))
+
+    def strips(b):
+        return prod(b[i] - b[i + 1] + 1 for i in range(len(b) - 1))
+
+    def det_one(b):
+        return 1 if b[0] == b[-1] else inf
+    dims = [[(t.mult, tuple(map(size, t.blocks))) for t in s]
+            for s, size in zip((left, right), (strips, det_one) if pieri else (dim, dim))]
     total = 0
     for m, x in dims[0]:
         for n, y in dims[1]:
@@ -204,14 +223,15 @@ def _cmd_ext_total(args) -> Report:
     if _summand_bound(left, right) > SUMMANDS_MAX:
         raise ValueError(f"--left {args.left} --right {args.right}: dual(left) (x) right "
                          f"may have more than {SUMMANDS_MAX} summands, the limit")
-    if args.cutoff == "auto":
-        l0 = stable_cutoff(model, left, right).l0
-        if l0 > LEVEL_MAX:
-            raise ValueError(f"--cutoff auto: the certified l0 = {l0} is past "
+    row = args.cutoff
+    if row == "auto":
+        row = stable_cutoff(model, left, right).l0
+        if row > LEVEL_MAX:
+            raise ValueError(f"--cutoff auto: the certified l0 = {row} is past "
                              f"the limit of {LEVEL_MAX} fiber levels")
-    elif _summand_bound(left.dual().tensor(right), (model.term(args.cutoff),),
-                        ROW_SUMMANDS_MAX) > ROW_SUMMANDS_MAX:
-        raise ValueError(f"--cutoff {args.cutoff}: row {args.cutoff} may have more than "
+    if _summand_bound(left.dual().tensor(right), (model.term(row),), ROW_SUMMANDS_MAX,
+                      pieri=args.cutoff == "auto") > ROW_SUMMANDS_MAX:
+        raise ValueError(f"--cutoff {args.cutoff}: row {row} may have more than "
                          f"{ROW_SUMMANDS_MAX} summands, the limit")
     table = ext_table(model, left, right, args.cutoff)
     print(f"model {model.name}, cutoff {table.cutoff}"
@@ -470,6 +490,13 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
+
+# What the import built (modules, classes, functions, tables) lives until
+# exit: frozen, it is left out of every later collection, the one at exit
+# included.  Not in main(), which a test process calls many times, freezing
+# each call's garbage for good; not in the package init, which would freeze
+# the heap of every program that imports the library.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -161,6 +161,20 @@ class HomogeneousBundle(Value):
         object.__setattr__(self, "mult", mult)
         return self
 
+    # The _ext_row and _level_euler memos hash and compare sums of these
+    # hundreds of times per verify-all: spelled out rather than built through
+    # Value._fields.  The block shapes fix the space, so the hash leaves it out.
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks == other.blocks and self.mult == other.mult
+                and self.space == other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.mult))
+
     def rank(self) -> int:
         r = self.mult
         for b in self.blocks:
@@ -169,7 +183,7 @@ class HomogeneousBundle(Value):
 
     def dual(self) -> "HomogeneousBundle":
         blocks = tuple(tuple(-x for x in reversed(b)) for b in self.blocks)
-        return HomogeneousBundle(self.space, blocks, self.mult)
+        return HomogeneousBundle._trusted(self.space, blocks, self.mult)
 
     def with_mult(self, mult: int) -> "HomogeneousBundle":
         return HomogeneousBundle(self.space, self.blocks, mult)
@@ -196,8 +210,7 @@ class HomogeneousBundle(Value):
 
     def cohomology(self) -> Cohomology:
         """Bott cohomology of the underlying irreducible (multiplicity not folded in)."""
-        concatenated = tuple(x for b in self.blocks for x in b)
-        return bott(self.space, concatenated)
+        return bott(self.space, sum(self.blocks, ()))
 
     def literal(self) -> str:
         """Canonical one-line text form, e.g. ``gr(3,5) u=[2,2,1] q=[0,0] mult=1``."""
@@ -213,6 +226,17 @@ class BundleSum(Value):
     """Canonical finite direct sum of homogeneous bundles on one flag variety."""
 
     __slots__ = ("space", "terms")
+
+    # Memo keys, as HomogeneousBundle's.
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.space == other.space
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @classmethod
     def of(cls, space: FlagVariety, terms) -> "BundleSum":

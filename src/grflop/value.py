@@ -5,7 +5,14 @@ and nowhere else: it writes an ``__init__`` only to validate or normalize its
 arguments before passing them on to ``Value.__init__``.  Equality, hashing,
 immutability and the repr are derived once, here, from ``__slots__``: no
 method is generated or compiled per class at import, which keeps the start of
-every grflop process cheap (see the README's note on import cost)."""
+every grflop process cheap (see the README's note on import cost).
+
+Three classes of ``homog`` that key the memos spell out what they need
+instead: ``FlagVariety.__hash__``, and ``__hash__`` and ``__eq__`` of
+``HomogeneousBundle`` and ``BundleSum``.  One verify-all hashes and compares
+them thousands of times, and the generic path through ``_fields`` builds a
+tuple for every call; equality keeps this class's rule, exact class first and
+then every field."""
 
 from __future__ import annotations
 

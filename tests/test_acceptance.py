@@ -207,15 +207,17 @@ import json
 from grflop import filtered, homog, partitions, stability, total_space, verify
 calls = {}
 
-def counted(module, name):
-    function = getattr(module, name)
-    def wrapper(*args):
-        key = f"{module.__name__}.{name}"
+def counted(owner, name):
+    function = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        key = f"{owner.__name__}.{name}"
         calls[key] = calls.get(key, 0) + 1
-        return function(*args)
-    setattr(module, name, wrapper)
+        return function(*args, **kwargs)
+    setattr(owner, name, wrapper)
 
 counted(homog, "gl_tensor")
+counted(homog, "bott")
+counted(homog.HomogeneousBundle, "__init__")
 counted(verify, "hl_enumerate")
 verify.verify_all()
 memos = (total_space._ext_row, filtered._level_euler, partitions._gl_tensor,
@@ -240,6 +242,9 @@ def test_verify_all_work_counts():
       through gl_tensor (9,102 before constant blocks were shifted instead),
       and verify makes 3 hl_enumerate calls (9,264 before the box sweep read
       the window range table).
+    - HomogeneousBundle.cohomology makes 3,513 bott calls, and 555 bundles
+      pass the validating HomogeneousBundle.__init__ (1,132 before dual()
+      built through _trusted).
     """
     src = str(Path(grflop.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -253,6 +258,7 @@ def test_verify_all_work_counts():
         [107, 771, 22]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.verify.hl_enumerate"]] == \
         [1147, 3]
+    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [3513, 555]
 
 
 def _window_report(w) -> str:

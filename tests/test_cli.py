@@ -305,7 +305,8 @@ class TestExitCodes:
             f"{ROW_SUMMANDS_MAX} summands, the limit\n")
 
     def test_builtin_sets_run_at_the_level_limit(self, monkeypatch):
-        """Every pair of built-in sets reaches ext_table at --cutoff LEVEL_MAX."""
+        """Every pair of built-in sets reaches ext_table at --cutoff LEVEL_MAX,
+        and at --cutoff auto."""
         calls = []
 
         def stub(model, left, right, cutoff="auto"):
@@ -315,10 +316,11 @@ class TestExitCodes:
         names = ("o",) + grflop.data.WINDOW_NAMES + ("kapranov",)
         pairs = [("xplus", a, b) for a in names for b in names] + [("xminus", "o", "o")]
         for model, left, right in pairs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["ext-total", "--model", model, "--left", left, "--right",
-                             right, "--cutoff", str(LEVEL_MAX)]) == EXIT_OK
-        assert calls == [LEVEL_MAX] * len(pairs)
+            for cutoff in (str(LEVEL_MAX), "auto"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["ext-total", "--model", model, "--left", left, "--right",
+                                 right, "--cutoff", cutoff]) == EXIT_OK
+        assert calls == [LEVEL_MAX, "auto"] * len(pairs)
 
     def test_row_bound_holds(self):
         """_summand_bound of a product and term(l) is at least the summand
@@ -339,6 +341,61 @@ class TestExitCodes:
                     term = model.term(l)
                     row = sum(t.mult for t in product.tensor(term))
                     assert row <= _summand_bound(product, (term,), 10 ** 9)
+
+    def test_pieri_bound_holds_for_every_row(self):
+        """The Pieri bound of a product against term(l) is at least the summand
+        count, with multiplicity, of row l on both models, is one bound for
+        every l > 0 (term(0) = O gives one summand per term), and a single
+        summand reaches it once l is its first entry minus its last."""
+        texts = ("gr(3,5) u=[3,1,-2] q=[1,0]", "gr(3,5) u=[2,1,0] q=[1,-1] mult=3\n"
+                 "gr(3,5) u=[0,0,-2] q=[0,0]", "gr(2,5) u=[2,-1] q=[3,0,-2]",
+                 "gr(2,5) u=[1,0] q=[0,0,-2] mult=2\ngr(2,5) u=[2,2] q=[1,0,0]")
+        sums = [grflop.data.window_sum_plus("heart")]
+        sums += [parse_set_file(f"[a]\n{text}\n")["a"] for text in texts]
+        for product in sums:
+            model = next(m for m in MODELS.values() if m.base == product.space)
+            bound = _summand_bound(product, (model.term(1),), 10 ** 9, pieri=True)
+            for l in range(13):
+                term = model.term(l)
+                row = sum(t.mult for t in product.tensor(term))
+                assert row <= _summand_bound(product, (term,), 10 ** 9, pieri=True) \
+                    == (bound if l else sum(t.mult for t in product))
+        single = parse_bundle("gr(3,5) u=[3,1,-2] q=[1,0]")
+        counts = [len(single.tensor(MODELS["xplus"].term(l))) for l in range(8)]
+        assert counts[5:] == [3 * 4] * 3 and max(counts[:5]) < 3 * 4
+        assert _summand_bound((single,), (MODELS["xplus"].term(1),), pieri=True) == 3 * 4
+
+    @pytest.mark.parametrize("model, left, right, l0, bound", [
+        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[50,0,-50] q=[0,0]", 50, 2601),
+        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[0,0,-100] q=[0,0]", 100, 101),
+        ("xminus", "gr(2,5) u=[0,0] q=[0,0,0]", "gr(2,5) u=[0,0] q=[40,0,-40]", 40, 1681),
+        ("xminus", "gr(2,5) u=[0,0] q=[0,0,0]", "gr(2,5) u=[0,0] q=[37,0,-37]", 37, 1444),
+    ], ids=["50_0_-50", "0_0_-100", "minus-40", "minus-37"])
+    def test_auto_cutoff_large_row_refused_before_computing(
+            self, model, left, right, l0, bound, tmp_path, capsys, monkeypatch):
+        """ext-total --cutoff auto whose Pieri bound on the summands of row l0
+        is past ROW_SUMMANDS_MAX is a usage error raised before any row is
+        built; o against u=[0,0,-100], whose row bound at l0 = 100 is 5,151,
+        still runs."""
+        sets = tmp_path / "sets.txt"
+        sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
+        product = parse_set_file(sets.read_text())["b"]  # dual(o) (x) b is b
+        assert _summand_bound(product, (MODELS[model].term(l0),), 10 ** 9, pieri=True) == bound
+        calls = []
+
+        def stub(model, left, right, cutoff="auto"):
+            calls.append(cutoff)
+            return ext_table(model, left, right, 0)
+        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        code = main(["ext-total", "--model", model, "--left", "a", "--right", "b",
+                     "--sets", str(sets)])
+        err = capsys.readouterr().err
+        if bound <= ROW_SUMMANDS_MAX:
+            assert (code, calls, err) == (EXIT_OK, ["auto"], "")
+        else:
+            assert (code, calls) == (EXIT_USAGE, [])
+            assert err == (f"error: --cutoff auto: row {l0} may have more than "
+                           f"{ROW_SUMMANDS_MAX} summands, the limit\n")
 
     def test_level_limit_is_inclusive(self):
         parser = build_parser()

@@ -1,18 +1,22 @@
 """Bundle algebra and Bott cohomology tests."""
 
-from itertools import combinations_with_replacement, product
+import pickle
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grflop import data
+import grflop.homog
 from grflop.homog import (FL235, GR25, GR35, BundleSum, FlagVariety,
                           HomogeneousBundle, as_sum, bott, line_bundle,
                           schur_sub_dual, structure_sheaf)
 from grflop.homog import _bott
 from grflop.partitions import _gl_tensor, weyl_dim
 from grflop.total_space import XMINUS, XPLUS
+from grflop.value import Value
 
 
 def decreasing_tuple(length, lo=-4, hi=4):
@@ -273,6 +277,28 @@ class TestBott:
             assert bott(space, weight) == expected
             assert bott(space, list(weight)) == expected
 
+    @pytest.mark.parametrize("space", [GR25, GR35, FL235], ids=str)
+    def test_signed_dim_is_the_weyl_polynomial(self, space, monkeypatch):
+        """For every bundle with dominant blocks and entries in [-3, 3], the
+        signed dimension of cohomology() is the Weyl dimension polynomial
+        prod_{i<j} (a_i - a_j) / (j - i) at a = weight + rho, an alternating
+        polynomial that needs no sorting or inversion count.  The Bott memo
+        is bypassed, so no other test sees these weights in it."""
+        monkeypatch.setattr(grflop.homog, "_bott", _bott.__wrapped__)
+        n = space.n
+        pairs = list(combinations(range(n), 2))
+        blocks = [combinations_with_replacement(range(3, -4, -1), s)
+                  for s in space.block_sizes()]
+        signs = set()
+        for combo in product(*blocks):
+            alpha = [x + n - 1 - i for i, x in enumerate(sum(combo, ()))]
+            expected = Fraction(prod(alpha[i] - alpha[j] for i, j in pairs),
+                                prod(j - i for i, j in pairs))
+            got = HomogeneousBundle(space, combo).cohomology().signed_dim()
+            assert got == expected
+            signs.add((got > 0) - (got < 0))
+        assert signs == {-1, 0, 1}
+
     def test_wrong_length_raises_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="expected weight of length 5"):
@@ -367,3 +393,62 @@ class TestBundleSumCanonical:
         empty = BundleSum.of(GR25, [])
         assert empty.cohomology() == ()
         assert empty.rank() == 0
+
+
+def assert_agrees_with_value(a, b):
+    """The spelled-out __eq__ returns what Value.__eq__ returns (NotImplemented
+    for another class), and equal objects hash alike."""
+    assert type(a).__eq__(a, b) is Value.__eq__(a, b)
+    assert (a == b) is (Value.__eq__(a, b) is True)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+class TestSpelledOutEquality:
+    """HomogeneousBundle and BundleSum write __eq__ and __hash__ out instead of
+    taking Value's; they must agree with Value's on every pair."""
+
+    @pytest.mark.parametrize("space", [GR25, GR35, FL235], ids=str)
+    @given(choices=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_however_built(self, space, choices):
+        s = choices.draw(sums_with_determinants(space))
+        other = choices.draw(sums_with_determinants(space))
+        terms = choices.draw(st.permutations(s.terms))
+        for a, b in [(s, other), (s, BundleSum.of(space, terms)), (s, s.dual().dual()),
+                     (s, pickle.loads(pickle.dumps(s))), (s, BundleSum(space, s.terms))]:
+            assert_agrees_with_value(a, b)
+            assert_agrees_with_value(b, a)
+        assert s == BundleSum.of(space, terms) == s.dual().dual()
+        for t in s.terms:
+            rebuilt = HomogeneousBundle(space, t.blocks, t.mult)
+            for u in (t.dual().dual(), pickle.loads(pickle.dumps(t)), rebuilt):
+                assert u == t
+                assert_agrees_with_value(t, u)
+            blocks = tuple(tuple(-x for x in reversed(b)) for b in t.blocks)
+            assert t.dual() == HomogeneousBundle(space, blocks, t.mult)
+            assert all(type(x) is int for b in t.dual().blocks for x in b)
+
+    @pytest.mark.parametrize("space", [GR25, GR35, FL235], ids=str)
+    def test_one_field_apart(self, space):
+        """Pairs that differ in one field, the space included (built past the
+        validation, since block shapes fix the space), and a sum against a
+        bundle, are unequal as Value says."""
+        t = HomogeneousBundle(space, tuple((1,) + (0,) * (k - 1) for k in space.block_sizes()), 2)
+        elsewhere = GR35 if space != GR35 else GR25
+        s = BundleSum.of(space, [t])
+        pairs = [
+            (t, t.with_mult(3)),
+            (t, t.twist(1, space.twist_generators()[0])),
+            (t, HomogeneousBundle._trusted(elsewhere, t.blocks, t.mult)),
+            (s, BundleSum.of(space, [t.with_mult(3)])),
+            (s, BundleSum(elsewhere, s.terms)),
+            (s, t),
+            (s, structure_sheaf(space)),
+        ]
+        for a, b in pairs:
+            assert a != b and b != a
+            assert_agrees_with_value(a, b)
+            assert_agrees_with_value(b, a)
+        assert BundleSum.__eq__(s, t) is NotImplemented
+        assert HomogeneousBundle.__eq__(t, s) is NotImplemented

@@ -39,18 +39,21 @@ TRACED_MODULES = ("bundleset", "cli", "exceptional", "filtered", "homog",
 
 def test_cli_import_leaves_dataclasses_out():
     """A fresh `import grflop.cli` loads every traced module and `value`, but
-    not `dataclasses`, and HomogeneousBundle still defines its own __init__."""
+    not `dataclasses`, HomogeneousBundle still defines its own __init__, and
+    the import heap is frozen, out of every later collection."""
     src = str(Path(grflop.__file__).resolve().parents[1])
-    code = ("import json, sys, grflop.cli, grflop.homog as h; print(json.dumps("
-            "[sorted(sys.modules), '__init__' in vars(h.HomogeneousBundle)]))")
+    code = ("import gc, json, sys, grflop.cli, grflop.homog as h; print(json.dumps("
+            "[sorted(sys.modules), '__init__' in vars(h.HomogeneousBundle), "
+            "gc.get_freeze_count()]))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    modules, has_init = json.loads(out)
+    modules, has_init, frozen = json.loads(out)
     assert "dataclasses" not in modules
     for name in TRACED_MODULES + ("value",):
         assert f"grflop.{name}" in modules
     assert has_init
+    assert frozen > 0
 
 
 def _load_perfbench(name):
