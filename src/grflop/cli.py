@@ -41,14 +41,14 @@ EXIT_PIPE = 141
 # ambient dimension n past it, since Bott takes a Weyl dimension for GL(n).
 WEYL_MAX_M = 100
 # `ext-total --cutoff` and `euler compare --max-l` compute one tensor product
-# per fiber level up to this bound, each costlier than the last: level 100
-# takes about a second, level 400 several.  It bounds the certified l0 of
-# `ext-total --cutoff auto` too.
+# per fiber level up to this bound, each costlier than the last: levels
+# 0..100 of kapranov against itself take 0.2 s in process, levels 0..400
+# about a second.  It bounds the certified l0 of `ext-total --cutoff auto` too.
 LEVEL_MAX = 100
 # `ext-total` tensors every summand of dual(left) (x) right with each level's
-# term, and the summands grow with the weights: on a 2-vCPU VM one term
-# gr(3,5) u=[16,8,0] against itself took 2 s at its l0 = 16, and u=[40,20,0]
-# more than 30 s.  By the Littlewood-Richardson rule a product of two
+# term, and the summands grow with the weights: on a 2-vCPU VM, in process,
+# one term gr(3,5) u=[16,8,0] against itself takes 0.4 s at its l0 = 16, and
+# u=[40,20,0] 25 s.  By the Littlewood-Richardson rule a product of two
 # irreducibles of one GL has at most as many summands, with multiplicity, as
 # the smaller one has dimension, so _summand_bound bounds the summands before
 # any tensor is built.  The built-in sets reach 227.
@@ -56,12 +56,12 @@ SUMMANDS_MAX = 256
 # Row l of `ext-total` is the product of dual(left) (x) right with term(l),
 # whose blocks grow with l, so a few large summands still make slow rows: at
 # `--cutoff 100` the row bound of _summand_bound is 1,225 for kapranov against
-# itself (about 2 s), 1,764 for u=[5,2,0] against itself (6 s) and 5,151 for
-# o against u=[100,50,0] (30 s).  Rows grow with l, so a numeric cutoff is
-# refused when the bound on its own row is past this limit.  At `--cutoff
-# auto` that row bound, taken at l0, orders two cases the wrong way round:
-# o against u=[0,0,-100] (l0 = 100, 2.4 s) has 5,151 and o against
-# u=[50,0,-50] (l0 = 50, 4.8 s) 1,326.  So auto is refused on the Pieri
+# itself (0.2 s in process), 1,764 for u=[5,2,0] against itself (0.3 s) and
+# 5,151 for o against u=[100,50,0] (4.4 s).  Rows grow with l, so a numeric
+# cutoff is refused when the bound on its own row is past this limit.  At
+# `--cutoff auto` that row bound, taken at l0, orders two cases the wrong way
+# round: o against u=[0,0,-100] (l0 = 100, 0.15 s) has 5,151 and o against
+# u=[50,0,-50] (l0 = 50, 0.7 s) 1,326.  So auto is refused on the Pieri
 # bound of _summand_bound instead, which holds for every row: 101 and 2,601.
 ROW_SUMMANDS_MAX = 1500
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows

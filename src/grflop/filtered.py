@@ -26,7 +26,7 @@ from .exceptional import ext_groups
 from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, as_sum,
                     line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
-from .total_space import XMINUS, XPLUS, ext_table
+from .total_space import XMINUS, XPLUS, _product, euler_sum, ext_table, is_pretilting
 from .value import Value
 
 
@@ -183,7 +183,7 @@ def _level_euler(s: BundleSum, m: int) -> int:
     """chi(s (x) term(m)) on the minus total space, memoized: the windows club
     and diamond are the duals of spade and heart, End(W^dual) = End(W), so
     their shift sums S_d equal those of spade and heart."""
-    return s.tensor(XMINUS.term(m)).signed_euler()
+    return euler_sum(XMINUS, s, m)
 
 
 class SuiteItem(Value):
@@ -237,18 +237,21 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
 
     The plus side has no higher self-Ext, so its alternating sums equal the
     graded Hom dimensions level by level; the minus-side filtration-additive
-    Euler characteristics must match them exactly.
+    Euler characteristics must match them exactly.  Whether it has higher
+    self-Ext at levels 0..max_l is read from the pretilting table, whose
+    certificate covers every level past its last row.
     """
     minus = window_bundle("minus", star)
     chi = graded_euler(list(minus), list(minus), max_l)
-    table = ext_table(XPLUS, data.window_sum_plus(star),
-                      data.window_sum_plus(star), cutoff=max_l)
-    plus_values = tuple(table.signed_dim(l) for l in range(max_l + 1))
+    plus = data.window_sum_plus(star)
+    product = _product(XPLUS, plus, plus)
+    plus_values = tuple(euler_sum(XPLUS, product, l) for l in range(max_l + 1))
+    witnesses = is_pretilting(XPLUS, plus).witnesses
     return {
         "star": star,
         "max_l": max_l,
         "minus": list(chi),
         "plus": list(plus_values),
         "equal": chi == plus_values,
-        "plus_has_higher": table.any_higher_cohomology,
+        "plus_has_higher": any(l <= max_l for l, *_ in witnesses),
     }

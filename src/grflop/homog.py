@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .partitions import Weight, as_weight, gl_tensor, pad, weyl_dim
+from .partitions import Weight, as_weight, gl_tensor, pad, pieri, weyl_dim
 from .value import Value
 
 
@@ -301,11 +301,23 @@ def _block_tensor(x: Weight, y: Weight, m: int):
     """The (weight, coefficient) pairs of V_x (x) V_y for GL(m), on weights of
     length m.  A constant weight (c, ..., c) is det^c, whose product with V_y
     is V_{y+c}, so it takes no Littlewood-Richardson product; for c = 0 the
-    result is y itself, not a copy."""
+    result is y itself, not a copy.  A weight (c+l, c, ..., c) is
+    det^c (x) Sym^l and (c, ..., c, c-l) is det^c (x) (Sym^l)^dual, whose
+    products are Pieri's horizontal strips, each of coefficient one."""
     if x[0] == x[-1]:
         return ((tuple([v + x[0] for v in y]) if x[0] else y, 1),)
     if y[0] == y[-1]:
         return ((tuple([v + y[0] for v in x]) if y[0] else x, 1),)
+    for a, b in ((x, y), (y, x)):
+        if b[1] == b[-1]:
+            l, c = b[0] - b[-1], b[-1]
+        elif b[0] == b[-2]:
+            l, c = b[-1] - b[0], b[0]
+        else:
+            continue
+        c += a[-1]  # share one memo entry among the twists of a
+        return [(tuple([v + c for v in nu]), 1)
+                for nu in pieri(tuple([v - a[-1] for v in a]), l)]
     return gl_tensor(x, y, m).items()
 
 

@@ -8,6 +8,7 @@ lengths.  All arithmetic is exact.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 Weight = tuple[int, ...]
@@ -192,6 +193,27 @@ def _strip_additions(shape: tuple[int, ...], count: int,
             acc.pop()
 
     yield from rec(0, 0)
+
+
+@lru_cache(maxsize=4096)
+def pieri(beta: Weight, l: int) -> tuple[Weight, ...]:
+    """The weights of V_beta (x) Sym^l for GL(len(beta)), each of multiplicity
+    one, in lexicographic order: beta plus a horizontal strip of l boxes.  For
+    l < 0, V_beta (x) (Sym^-l)^dual: beta minus a horizontal strip of -l boxes.
+    Memoized on the tuple beta; invalid input raises on every call."""
+    beta = as_weight(beta)
+    if not beta:
+        raise ValueError("pieri needs a weight of length at least 1")
+    k = abs(l)
+    out = []
+    # Every row but the free one (row 0 gaining, the last row losing) moves by
+    # at most its gap to the next row towards the free one.
+    for rest in product(*[range(min(k, a - b) + 1) for a, b in zip(beta, beta[1:])]):
+        free = k - sum(rest)
+        if free >= 0:
+            steps = (free,) + rest if l >= 0 else tuple([-s for s in rest + (free,)])
+            out.append(tuple([b + s for b, s in zip(beta, steps)]))
+    return tuple(sorted(out))
 
 
 def _lr_products(lam: Weight, mu: Weight, max_rows: int) -> dict[Weight, int]:

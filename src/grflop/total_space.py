@@ -10,9 +10,10 @@ a dominant concatenated weight, hence cohomology in degree 0 only.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, prod
 
 from .homog import (BundleSum, FlagVariety, GR25, GR35, HomogeneousBundle,
-                    as_sum, degree_totals)
+                    _block_tensor, as_sum, degree_totals)
 from .value import Value
 
 
@@ -39,8 +40,9 @@ class TotalSpaceModel(Value):
     def term(self, l: int) -> HomogeneousBundle:
         if l < 0:
             raise ValueError("fiber degree must be nonnegative")
-        return HomogeneousBundle(self.base, tuple(tuple(l * x for x in block)
-                                                  for block in self.fiber))
+        # Multiples of the fiber the constructor validated: no re-validation.
+        return HomogeneousBundle._trusted(
+            self.base, tuple(tuple([l * x for x in block]) for block in self.fiber), 1)
 
     def dominance_gap(self, bundle: HomogeneousBundle) -> int:
         """Least l making every summand of bundle (x) term(l') dominant for l' >= l.
@@ -81,13 +83,43 @@ def stable_cutoff(model: TotalSpaceModel, left, right) -> CutoffCertificate:
     return _certify(model, _product(model, left, right))
 
 
+@lru_cache(maxsize=256)
 def _product(model: TotalSpaceModel, left, right):
-    """dual(left) (x) right, for bundles or sums on the model's base."""
+    """dual(left) (x) right, for bundles or sums on the model's base, memoized:
+    a window's pretilting table and its Euler sums share one product."""
     left = as_sum(left)
     right = as_sum(right)
     if left.space != model.base or right.space != model.base:
         raise ValueError(f"bundles must live on {model.base}")
     return left.dual().tensor(right)
+
+
+def euler_sum(model: TotalSpaceModel, terms, l: int) -> int:
+    """chi(s (x) term(l)) for the sum s of the irreducible terms: row l's
+    signed Euler characteristic, with no row built."""
+    term = model.term(l).blocks
+    return sum(t.mult * _term_euler(t.blocks, term) for t in terms)
+
+
+@lru_cache(maxsize=4096)
+def _term_euler(blocks: tuple, term: tuple) -> int:
+    """chi(t (x) u) for the irreducibles of these blocks: Bott's signed
+    dimension of a weight is the signed Weyl polynomial prod_{i<j} (a_i -
+    a_j) / (j - i) at a = weight + rho, 0 on a singular weight, summed here
+    over the weights of the block products with no sorting and no Cohomology."""
+    weights = [((), 1)]
+    for x, y in zip(blocks, term):
+        weights = [(w + v, c * d) for w, c in weights for v, d in _block_tensor(x, y, len(x))]
+    total = 0
+    for w, num in weights:
+        a = [x - i for i, x in enumerate(w)]
+        while a:
+            top = a.pop()
+            for x in a:
+                num *= x - top
+        total += num
+    # prod_{i<j} (j - i) = 1! 2! ... (n-1)! for n = sum of the block lengths
+    return total // prod(map(factorial, range(sum(map(len, blocks)))))
 
 
 def _certify(model: TotalSpaceModel, product) -> CutoffCertificate:

@@ -216,13 +216,16 @@ def counted(owner, name):
     setattr(owner, name, wrapper)
 
 counted(homog, "gl_tensor")
+counted(homog, "pieri")
 counted(homog, "bott")
 counted(homog.HomogeneousBundle, "__init__")
 counted(verify, "hl_enumerate")
 verify.verify_all()
 memos = (total_space._ext_row, filtered._level_euler, partitions._gl_tensor,
-         homog._bott, stability._slot2_members)
+         homog._bott, stability._slot2_members, partitions.pieri,
+         total_space._term_euler, total_space._product)
 counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
+counts["maxsize"] = [f.cache_info().maxsize for f in memos[-3:]]
 print(json.dumps(dict(counts, **calls)))
 """
 
@@ -231,19 +234,28 @@ def test_verify_all_work_counts():
     """One verify_all() in a fresh process makes a pinned number of memo hits
     and misses, a work count the wall clock of a noisy machine cannot show.
 
-    - _ext_row: 49 distinct rows.  The 36 hits are every row of club and
-      diamond (9 + 9 in the cutoff-8 tables, 5 + 4 in the pretilting tables,
-      equal to spade's and heart's) and the rows 0..4 of spade and 0..3 of
-      heart that the cutoff-8 tables take from the pretilting tables.
+    - _ext_row: 40 distinct rows, the pretilting tables' and those of the
+      vanishing suite (49 when euler_cross_check built cutoff-8 tables).  The
+      27 hits are every row of club and diamond (5 + 4, equal to spade's and
+      heart's) and the 18 rows of the four windows' pretilting tables that
+      euler_cross_check reads its witnesses from.
     - _level_euler: spade and heart compute 128 levels (shift sum, level);
       club and diamond, with the same shift sums, hit all 128.
-    - _gl_tensor, _bott and the window ranges: 107, 771 and 22 distinct inputs.
-    - Calls at two import sites: BundleSum.tensor takes 1,147 block products
-      through gl_tensor (9,102 before constant blocks were shifted instead),
-      and verify makes 3 hl_enumerate calls (9,264 before the box sweep read
-      the window range table).
-    - HomogeneousBundle.cohomology makes 3,513 bott calls, and 555 bundles
-      pass the validating HomogeneousBundle.__init__ (1,132 before dual()
+    - _gl_tensor, _bott and the window ranges: 1, 251 and 22 distinct inputs
+      (107 and 771 before one-row blocks took Pieri's rule and the Euler
+      step stopped building rows).
+    - The new memos: pieri 102 distinct inputs, 937 hits; _term_euler 805
+      (term, level) values, 1,963 hits; _product 17 products, 8 hits
+      (the Euler step's two reads of each window's product).
+    - Calls at two import sites: BundleSum.tensor takes 2 block products
+      through gl_tensor (1,147 before Pieri's rule, 9,102 before constant
+      blocks were shifted instead) and 1,039 through pieri, and verify makes
+      3 hl_enumerate calls (9,264 before the box sweep read the window range
+      table).
+    - HomogeneousBundle.cohomology makes 1,420 bott calls (3,513 when the
+      Euler step went through Bott), and 338 bundles pass the validating
+      HomogeneousBundle.__init__ (555 before term(l) built through _trusted
+      and euler_cross_check built each plus window once; 1,132 before dual()
       built through _trusted).
     """
     src = str(Path(grflop.__file__).resolve().parents[1])
@@ -252,13 +264,16 @@ def test_verify_all_work_counts():
                          env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
                          capture_output=True, text=True, timeout=300).stdout
     counts = json.loads(out)
-    assert counts["_ext_row"] == [36, 49]
+    assert counts["_ext_row"] == [27, 40]
     assert counts["_level_euler"] == [128, 128]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
-        [107, 771, 22]
-    assert [counts["grflop.homog.gl_tensor"], counts["grflop.verify.hl_enumerate"]] == \
-        [1147, 3]
-    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [3513, 555]
+        [1, 251, 22]
+    assert [counts[name] for name in ("pieri", "_term_euler", "_product")] == \
+        [[937, 102], [1963, 805], [8, 17]]
+    assert counts["maxsize"] == [4096, 4096, 256]
+    assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
+            counts["grflop.verify.hl_enumerate"]] == [2, 1039, 3]
+    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [1420, 338]
 
 
 def _window_report(w) -> str:

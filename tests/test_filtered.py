@@ -9,7 +9,7 @@ from grflop.filtered import (FilteredBundle, _as_pieces, _shift_sums, core_exten
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.partitions import weyl_dim
-from grflop.total_space import XMINUS
+from grflop.total_space import XMINUS, XPLUS, ext_table, is_pretilting
 from grflop import data
 
 
@@ -255,6 +255,34 @@ class TestCrossSide:
     def test_spade_club_agree(self):
         assert euler_cross_check("spade", 3)["minus"] == \
             euler_cross_check("club", 3)["minus"]
+
+    @pytest.mark.parametrize("star", data.WINDOW_NAMES)
+    def test_plus_values_are_the_ext_rows(self, star):
+        """The plus values, summed from the Weyl polynomial with no row
+        built, are the alternating sums of the Ext table's rows; the
+        products dual(W) (x) W have terms of multiplicity above one."""
+        w = data.window_sum_plus(star)
+        assert any(t.mult > 1 for t in w.dual().tensor(w))
+        table = ext_table(XPLUS, w, w, cutoff=12)
+        assert euler_cross_check(star, 12)["plus"] == \
+            [table.signed_dim(l) for l in range(13)]
+
+    def test_plus_has_higher_reads_the_pretilting_witnesses(self, monkeypatch):
+        """On a plus set with higher self-Ext at levels 2 and 3 only (l0 = 6),
+        plus_has_higher is the any_higher_cohomology of the table cut at
+        max_l, below l0 and past it."""
+        bad = ((3, 3, 3), (-1, -1, -3))
+        monkeypatch.setitem(data.PLUS_SETS, "spade", bad)
+        w = data.window_sum_plus("spade")
+        report = is_pretilting(XPLUS, w)
+        assert report.table.cutoff == 6
+        assert {l for l, *_ in report.witnesses} == {2, 3}
+        seen = []
+        for max_l in range(9):
+            expected = ext_table(XPLUS, w, w, cutoff=max_l).any_higher_cohomology
+            assert euler_cross_check("spade", max_l)["plus_has_higher"] == expected
+            seen.append(expected)
+        assert seen == [False] * 2 + [True] * 7
 
 
 class TestVanishingSuite:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop.partitions import (WeightedSum, as_partition, gl_tensor,
-                               lr_coefficient, lr_mult, shift, weyl_dim)
+                               lr_coefficient, lr_mult, pieri, shift, weyl_dim)
 from grflop.homog import _block_tensor
 from grflop.partitions import _gl_tensor, _lr_products
 
@@ -360,6 +360,48 @@ class TestCharacterOracle:
                 for k in range(len(points)):
                     assert chi(lam, k) * chi(mu, k) == \
                         sum(c * chi(nu, k) for nu, c in terms), (lam, mu)
+
+
+class TestPieri:
+    """pieri against the Littlewood-Richardson rule of gl_tensor."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_gl_tensor(self, m):
+        """For every beta in [-4, 4]^m, 0 <= l <= 12 and c in {-2, 0, 3},
+        pieri(beta, l) shifted by c is gl_tensor(beta, y, m) for the one-row
+        block y = det^c (x) Sym^l, and pieri(beta, -l) for y = det^c (x)
+        (Sym^l)^dual: the same weights in the same order, each of coefficient
+        one.  _block_tensor gives the same pairs with beta on either side."""
+        for beta in combinations_with_replacement(range(4, -5, -1), m):
+            for l in range(13):
+                for c in (-2, 0, 3):
+                    for sign, y in ((1, (c + l,) + (c,) * (m - 1)),
+                                    (-1, (c,) * (m - 1) + (c - l,))):
+                        expected = list(gl_tensor(beta, y, m).items())
+                        got = [(tuple(v + c for v in nu), 1) for nu in pieri(beta, sign * l)]
+                        assert got == expected, (beta, y)
+                        assert sorted(_block_tensor(beta, y, m)) == expected
+                        assert sorted(_block_tensor(y, beta, m)) == expected
+
+    def test_strips(self):
+        """V_(2,1,0) (x) Sym^2 and V_(2,1,0) (x) (Sym^1)^dual for GL(3),
+        written out: no two new boxes share a column, and no two removed
+        boxes do."""
+        assert pieri((2, 1, 0), 2) == ((2, 2, 1), (3, 1, 1), (3, 2, 0), (4, 1, 0))
+        assert pieri((2, 1, 0), -1) == ((1, 1, 0), (2, 0, 0), (2, 1, -1))
+        assert pieri((2, 1, 0), 0) == ((2, 1, 0),)
+
+    def test_invalid_input_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not weakly decreasing"):
+                pieri((0, 1), 2)
+            with pytest.raises(ValueError, match="not weakly decreasing"):
+                pieri((0, 1), -2)
+            with pytest.raises(ValueError, match="length at least 1"):
+                pieri((), 0)
+
+    def test_memo_is_bounded(self):
+        assert pieri.cache_info().maxsize == 4096
 
 
 class TestShift:

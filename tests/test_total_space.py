@@ -1,12 +1,14 @@
 """Pushforward expansion, certified cutoffs and pretilting checks."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from grflop import data, filtered, total_space
-from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
-                          structure_sheaf)
-from grflop.total_space import (MODELS, XMINUS, XPLUS, ext_table,
-                                is_pretilting, stable_cutoff)
+from grflop.homog import (GR25, GR35, BundleSum, HomogeneousBundle, line_bundle,
+                          schur_sub_dual, structure_sheaf)
+from grflop.total_space import (MODELS, XMINUS, XPLUS, TotalSpaceModel, euler_sum,
+                                ext_table, is_pretilting, stable_cutoff)
 from grflop.verify import verify_all
 
 
@@ -25,6 +27,14 @@ class TestPushforwardTerms:
     def test_negative_level(self):
         with pytest.raises(ValueError):
             XPLUS.term(-1)
+
+    @pytest.mark.parametrize("model", [XPLUS, XMINUS], ids=["xplus", "xminus"])
+    def test_terms_equal_validated_bundles(self, model):
+        """term(l) skips the validating constructor; it builds the same bundle."""
+        for l in range(10):
+            t = model.term(l)
+            assert t == HomogeneousBundle(model.base, t.blocks)
+            assert all(type(x) is int for b in t.blocks for x in b)
 
 
 class TestStableCutoff:
@@ -215,8 +225,8 @@ class TestRowMemo:
         assert second.rows == first.rows
 
     def test_higher_cutoff_reuses_rows(self):
-        """The cutoff-8 table of euler_cross_check computes only the rows past
-        the certified cutoff of the pretilting table."""
+        """A cutoff-8 table computes only the rows past the certified cutoff
+        of the pretilting table; the lower rows are hits."""
         t = data.window_sum_plus("spade")
         total_space._ext_row.cache_clear()
         l0 = ext_table(XPLUS, t, t, "auto").cutoff
@@ -226,6 +236,35 @@ class TestRowMemo:
 
     def test_memo_is_bounded(self):
         assert total_space._ext_row.cache_info().maxsize == 4096
+
+
+class TestEulerSum:
+    """euler_sum, the signed Weyl polynomial over the block products, against
+    the Bott path that builds the row."""
+
+    @pytest.mark.parametrize("model", [
+        XPLUS, XMINUS, TotalSpaceModel("lr", GR35, ((3, 2, 1), (0, 0)))],
+        ids=["xplus", "xminus", "lr-fiber"])
+    def test_matches_bott_path(self, model):
+        """For every irreducible with blocks in [-2, 2] and every l in 0..12.
+        The third fiber is no one-row block, so its products take the LR
+        rule, with coefficients above one."""
+        blocks = [combinations_with_replacement(range(2, -3, -1), s)
+                  for s in model.base.block_sizes()]
+        for combo in product(*blocks):
+            t = HomogeneousBundle(model.base, combo)
+            for l in range(13):
+                assert euler_sum(model, (t,), l) == \
+                    t.tensor(model.term(l)).signed_euler(), (t, l)
+
+    def test_product_is_shared(self):
+        """The pretilting table and the Euler sums take one product object."""
+        w = data.window_sum_plus("spade")
+        assert total_space._product(XPLUS, w, w) is total_space._product(XPLUS, w, w)
+
+    def test_memos_are_bounded(self):
+        assert total_space._term_euler.cache_info().maxsize == 4096
+        assert total_space._product.cache_info().maxsize == 256
 
 
 class TestPretilting:
