@@ -15,19 +15,19 @@ import argparse
 import gc
 import os
 import sys
-from math import inf, prod
+from math import prod
 
 from . import __version__, data
 from .bundleset import parse_bundle, parse_set_file
 from .exceptional import (builtin_collection, builtin_resolution,
                           check_collection, check_resolution)
 from .filtered import euler_cross_check, vanishing_suite
-from .homog import BundleSum
+from .homog import BundleSum, _block_bound, structure_sheaf
 from .partitions import lr_coefficient, lr_mult, weyl_dim
 from .report import Report
 from .stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem, hl_enumerate,
                         hl_membership, kn_adapted, kn_stratification)
-from .total_space import MODELS, ext_table, is_pretilting, stable_cutoff
+from .total_space import MODELS, _product, ext_table, is_pretilting, stable_cutoff
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -45,25 +45,20 @@ WEYL_MAX_M = 100
 # 0..100 of kapranov against itself take 0.2 s in process, levels 0..400
 # about a second.  It bounds the certified l0 of `ext-total --cutoff auto` too.
 LEVEL_MAX = 100
-# `ext-total` tensors every summand of dual(left) (x) right with each level's
-# term, and the summands grow with the weights: on a 2-vCPU VM, in process,
-# one term gr(3,5) u=[16,8,0] against itself takes 0.4 s at its l0 = 16, and
-# u=[40,20,0] 25 s.  By the Littlewood-Richardson rule a product of two
-# irreducibles of one GL has at most as many summands, with multiplicity, as
-# the smaller one has dimension, so _summand_bound bounds the summands before
-# any tensor is built.  The built-in sets reach 227.
-SUMMANDS_MAX = 256
-# Row l of `ext-total` is the product of dual(left) (x) right with term(l),
-# whose blocks grow with l, so a few large summands still make slow rows: at
-# `--cutoff 100` the row bound of _summand_bound is 1,225 for kapranov against
-# itself (0.2 s in process), 1,764 for u=[5,2,0] against itself (0.3 s) and
-# 5,151 for o against u=[100,50,0] (4.4 s).  Rows grow with l, so a numeric
-# cutoff is refused when the bound on its own row is past this limit.  At
-# `--cutoff auto` that row bound, taken at l0, orders two cases the wrong way
-# round: o against u=[0,0,-100] (l0 = 100, 0.15 s) has 5,151 and o against
-# u=[50,0,-50] (l0 = 50, 0.7 s) 1,326.  So auto is refused on the Pieri
-# bound of _summand_bound instead, which holds for every row: 101 and 2,601.
-ROW_SUMMANDS_MAX = 1500
+# `ext-total` builds dual(left) (x) right first, refused past this
+# _summand_bound before any tensor.  Products are cheap next to rows: on a
+# 2-vCPU VM, in process, u=[30,15,0] against itself, at the limit, builds
+# and bounds in 0.03 s.  The built-in sets reach 183.
+SUMMANDS_MAX = 4096
+# Rows 0..N are the product against term(0..N), refused past this
+# _summand_bound of the two, so `--cutoff N` and `auto` at l0 = N decide
+# alike.  Whole processes, text (`--json -`): heart against kapranov at 100,
+# the built-in top, 14,397, 0.6 s (0.9 s); o against u=[50,0,-50] at auto
+# 23,426, 1.4 s (2.2 s); o against u=[8,0,-38] at 100, the slowest found,
+# 29,601, 1.5 s (2.5 s).  A limit admitting u=[16,8,0] against itself
+# (96,609; 0.44 s in process) admits o against u=[90,70,0] at 100 (97,797;
+# 2.2 s), near the refused o against u=[100,50,0] at 100 (140,226; 3.1 s).
+TABLE_SUMMANDS_MAX = 30000
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
 # steeply with the number of boxes: the worst shapes found take about a second
 # at 36 boxes and two at 40.
@@ -144,7 +139,6 @@ def _resolve_set(name: str, sets: dict | None, sets_path: str | None, base) -> B
             return sets[name]
         raise ValueError(f"set {name!r} not found in {sets_path}")
     if name == "o":
-        from .homog import structure_sheaf
         return BundleSum.of(base, [structure_sheaf(base)])
     if name in data.PLUS_SETS:
         return data.window_sum_plus(name)
@@ -181,31 +175,14 @@ def _cmd_bwb(args) -> Report:
     return report
 
 
-def _summand_bound(left, right, limit: int = SUMMANDS_MAX, pieri: bool = False) -> int:
-    """An upper bound on the summands, with multiplicity, of dual(left) (x)
-    right, or of left (x) right, for two sums of bundles: the sum over term
-    pairs of their multiplicities times the product over blocks of the smaller
-    block dimension.  The sum stops once it is past `limit`.
-
-    With `pieri`, every block of `right` must be det^c or Sym^l up to det
-    and duality, as every block of a term(l) is.  By Pieri's rule V_beta
-    times such a block has at most prod_i (beta_i - beta_{i+1} + 1) summands
-    whatever l (one against det^c), which stands in for the smaller
-    dimension: the sum bounds the product with term(l) for every l at once."""
-    def dim(b):
-        return weyl_dim(b, len(b))
-
-    def strips(b):
-        return prod(b[i] - b[i + 1] + 1 for i in range(len(b) - 1))
-
-    def det_one(b):
-        return 1 if b[0] == b[-1] else inf
-    dims = [[(t.mult, tuple(map(size, t.blocks))) for t in s]
-            for s, size in zip((left, right), (strips, det_one) if pieri else (dim, dim))]
+def _summand_bound(left, right, limit: int = SUMMANDS_MAX) -> int:
+    """At least the block-product pairs that BundleSum.tensor walks for
+    dual(left) (x) right or left (x) right: over pairs of distinct terms, the
+    product of _block_bound over blocks.  Stops once past `limit`."""
     total = 0
-    for m, x in dims[0]:
-        for n, y in dims[1]:
-            total += m * n * prod(map(min, x, y))
+    for s in left:
+        for t in right:
+            total += prod(map(_block_bound, s.blocks, t.blocks))
             if total > limit:
                 return total
     return total
@@ -229,10 +206,11 @@ def _cmd_ext_total(args) -> Report:
         if row > LEVEL_MAX:
             raise ValueError(f"--cutoff auto: the certified l0 = {row} is past "
                              f"the limit of {LEVEL_MAX} fiber levels")
-    if _summand_bound(left.dual().tensor(right), (model.term(row),), ROW_SUMMANDS_MAX,
-                      pieri=args.cutoff == "auto") > ROW_SUMMANDS_MAX:
-        raise ValueError(f"--cutoff {args.cutoff}: row {row} may have more than "
-                         f"{ROW_SUMMANDS_MAX} summands, the limit")
+    terms = [model.term(l) for l in range(row + 1)]
+    bound = _summand_bound(_product(model, left, right), terms, TABLE_SUMMANDS_MAX)
+    if bound > TABLE_SUMMANDS_MAX:
+        raise ValueError(f"--cutoff {args.cutoff}: rows 0..{row} may have more than "
+                         f"{TABLE_SUMMANDS_MAX} summands in all, the limit")
     table = ext_table(model, left, right, args.cutoff)
     print(f"model {model.name}, cutoff {table.cutoff}"
           + (f" (auto, l0={table.certificate.l0})" if table.certificate else ""))

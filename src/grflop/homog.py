@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import comb, prod
 
 from .partitions import Weight, as_weight, gl_tensor, pad, pieri, weyl_dim
 from .value import Value
@@ -319,6 +319,21 @@ def _block_tensor(x: Weight, y: Weight, m: int):
         return [(tuple([v + c for v in nu]), 1)
                 for nu in pieri(tuple([v - a[-1] for v in a]), l)]
     return gl_tensor(x, y, m).items()
+
+
+def _block_bound(x: Weight, y: Weight) -> int:
+    """At least the coefficient sum, hence the pairs, of _block_tensor(x, y,
+    len(x)), on the branch it takes: 1 against det^c; against a one-row block
+    b, the fewer of dim b = dim Sym^l and the Pieri strips prod_i (a_i -
+    a_{i+1} + 1) of the other block a (at most dim a); otherwise, by the
+    Littlewood-Richardson rule, the smaller dimension."""
+    if x[0] == x[-1] or y[0] == y[-1]:
+        return 1
+    for a, b in ((x, y), (y, x)):
+        if b[1] == b[-1] or b[0] == b[-2]:
+            return min(comb(b[0] - b[-1] + len(b) - 1, len(b) - 1),
+                       prod(a[i] - a[i + 1] + 1 for i in range(len(a) - 1)))
+    return min(weyl_dim(x, len(x)), weyl_dim(y, len(y)))
 
 
 def degree_totals(pairs) -> dict[int, int]:

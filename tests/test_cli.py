@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,14 @@ import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
-                        LEVEL_MAX, LR_MAX_BOXES, ROW_SUMMANDS_MAX, SUMMANDS_MAX,
-                        TWISTS_MAX, WEYL_MAX_M, _summand_bound, build_parser, main)
-from grflop.homog import FL235, GR35, BundleSum, Cohomology, HomogeneousBundle
+                        LEVEL_MAX, LR_MAX_BOXES, SUMMANDS_MAX, TABLE_SUMMANDS_MAX,
+                        TWISTS_MAX, WEYL_MAX_M, _resolve_set, _summand_bound, build_parser,
+                        main)
+from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
+                          _block_tensor, structure_sheaf)
 from grflop.report import Report, encode_value
 from grflop.stability import ConeProblem, kn_adapted
-from grflop.total_space import MODELS, ext_table
+from grflop.total_space import MODELS, XPLUS, _product, ext_table, stable_cutoff
 from grflop.verify import verify_all
 
 
@@ -221,16 +224,16 @@ class TestExitCodes:
          "\n".join(f"gr(3,5) u=[{a},{a},{a}] q=[0,0]" for a in range(SUMMANDS_MAX)), False),
         ("gr(3,5) u=[0,0,0] q=[0,0]",
          "\n".join(f"gr(3,5) u=[{a},{a},{a}] q=[0,0]" for a in range(SUMMANDS_MAX + 1)), True),
-        ("gr(3,5) u=[16,8,0] q=[0,0]", "gr(3,5) u=[16,8,0] q=[0,0]", True),
+        ("gr(3,5) u=[32,16,0] q=[0,0]", "gr(3,5) u=[32,16,0] q=[0,0]", True),
         ("gr(3,5) u=[40,20,0] q=[0,0]", "gr(3,5) u=[40,20,0] q=[0,0]", True),
-    ], ids=["lines-at-limit", "lines-past-limit", "16_8_0", "40_20_0"])
+    ], ids=["lines-at-limit", "lines-past-limit", "32_16_0", "40_20_0"])
     def test_large_product_refused_before_computing(self, left, right, refused, tmp_path,
                                                     capsys, monkeypatch):
         """ext-total whose bound on the summands of dual(left) (x) right is
         past SUMMANDS_MAX is a usage error raised before any tensor is built:
         O against SUMMANDS_MAX line bundles still runs, against one more it
-        does not, and neither does u=[16,8,0] (l0 = 16) or u=[40,20,0]
-        against itself."""
+        does not, and neither does u=[32,16,0] or u=[40,20,0] against
+        itself."""
         sets = tmp_path / "sets.txt"
         sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
         calls = []
@@ -254,8 +257,9 @@ class TestExitCodes:
 
     def test_summand_bound_holds_and_admits_builtin_sets(self):
         """_summand_bound is at least the summand count, with multiplicity,
-        of dual(left) (x) right, and every pair of built-in sets is within
-        SUMMANDS_MAX (kapranov against itself reaches 227)."""
+        of dual(left) (x) right for sums of terms of multiplicity one, and
+        every pair of built-in sets is within SUMMANDS_MAX (kapranov against
+        itself reaches 183)."""
         names = list(grflop.data.WINDOW_NAMES) + ["kapranov"]
         sums = [grflop.data.window_sum_plus(n) for n in names]
         sums += [parse_set_file(f"[a]\n{text}\n")["a"] for text in (
@@ -266,8 +270,19 @@ class TestExitCodes:
                 if left.space == right.space:
                     product = left.dual().tensor(right)
                     assert sum(t.mult for t in product) <= _summand_bound(left, right)
-        assert max(_summand_bound(a, b) for a in sums[:5] for b in sums[:5]) == 227 \
+        assert max(_summand_bound(a, b) for a in sums[:5] for b in sums[:5]) == 183 \
             <= SUMMANDS_MAX
+
+    def test_set_on_another_base_is_usage_error(self, tmp_path, capsys):
+        """A set on gr(4,5) against one on gr(3,5) is a usage error naming the
+        model's base, in either order, although the size bound meets blocks
+        of different lengths first."""
+        sets = tmp_path / "sets.txt"
+        sets.write_text("[a]\ngr(4,5) u=[5,0,0,0] q=[0]\n[b]\ngr(3,5) u=[2,1,0] q=[0,0]\n")
+        for left, right in (("a", "b"), ("b", "a")):
+            assert main(["ext-total", "--model", "xplus", "--left", left, "--right", right,
+                         "--sets", str(sets)]) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: bundles must live on gr(3,5)\n"
 
     def test_set_file_read_once_from_a_pipe(self, capsys):
         """--sets may name a pipe, which can be read only once: the file is
@@ -290,9 +305,10 @@ class TestExitCodes:
     ], ids=["o-100_50_0", "8_4_0"])
     def test_large_row_refused_before_computing(self, left, right, tmp_path, capsys,
                                                 monkeypatch):
-        """ext-total --cutoff N whose bound on the summands of row N is past
-        ROW_SUMMANDS_MAX is a usage error raised before any row is built,
-        although the summands of dual(left) (x) right are within SUMMANDS_MAX."""
+        """ext-total --cutoff N whose bound on the summands of rows 0..N is
+        past TABLE_SUMMANDS_MAX is a usage error raised before any row is
+        built, although the summands of dual(left) (x) right are within
+        SUMMANDS_MAX: 140,226 and 113,685."""
         sets = tmp_path / "sets.txt"
         sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
         monkeypatch.setattr(grflop.cli, "ext_table",
@@ -301,8 +317,8 @@ class TestExitCodes:
                      "--sets", str(sets), "--cutoff", str(LEVEL_MAX)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: --cutoff {LEVEL_MAX}: row {LEVEL_MAX} may have more than "
-            f"{ROW_SUMMANDS_MAX} summands, the limit\n")
+            f"error: --cutoff {LEVEL_MAX}: rows 0..{LEVEL_MAX} may have more than "
+            f"{TABLE_SUMMANDS_MAX} summands in all, the limit\n")
 
     def test_builtin_sets_run_at_the_level_limit(self, monkeypatch):
         """Every pair of built-in sets reaches ext_table at --cutoff LEVEL_MAX,
@@ -322,80 +338,96 @@ class TestExitCodes:
                                  right, "--cutoff", cutoff]) == EXIT_OK
         assert calls == [LEVEL_MAX, "auto"] * len(pairs)
 
-    def test_row_bound_holds(self):
-        """_summand_bound of a product and term(l) is at least the summand
-        count, with multiplicity, of row l, multiplicities above 1 included."""
-        sums = [grflop.data.window_sum_plus(n) for n in ("spade", "heart", "kapranov")]
-        sums += [parse_set_file(f"[a]\n{text}\n")["a"] for text in (
-            "gr(3,5) u=[4,2,0] q=[0,0]", "gr(3,5) u=[1,0,0] q=[0,0] mult=2",
-            "gr(3,5) u=[2,1,0] q=[1,-1] mult=3\ngr(3,5) u=[0,0,-2] q=[0,0]",
-            "gr(2,5) u=[1,0] q=[0,0,-2] mult=2\ngr(2,5) u=[2,2] q=[1,0,0]")]
-        for left in sums:
-            for right in sums:
-                if left.space != right.space:
-                    continue
-                model = next(m for m in MODELS.values() if m.base == left.space)
-                product = left.dual().tensor(right)
-                assert sum(t.mult for t in product) <= _summand_bound(left, right)
-                for l in range(4):
-                    term = model.term(l)
-                    row = sum(t.mult for t in product.tensor(term))
-                    assert row <= _summand_bound(product, (term,), 10 ** 9)
+    def test_table_bound_holds(self):
+        """_summand_bound of a product against term(0..12) is at least the
+        block-product pairs that rows 0..12 walk, for every pair of built-in
+        sets on xplus, o on xminus, and sums with multiplicities above 1 on
+        both models."""
+        names = ("o",) + grflop.data.WINDOW_NAMES + ("kapranov",)
+        sums = {"xplus": [_resolve_set(n, None, None, GR35) for n in names],
+                "xminus": [_resolve_set("o", None, None, GR25)]}
+        for model, text in (
+                ("xplus", "gr(3,5) u=[2,1,0] q=[1,-1] mult=3\ngr(3,5) u=[0,0,-2] q=[0,0]"),
+                ("xminus", "gr(2,5) u=[1,0] q=[0,0,-2] mult=2\ngr(2,5) u=[2,2] q=[1,0,0]")):
+            sums[model].append(parse_set_file(f"[a]\n{text}\n")["a"])
+        for name, model_sums in sums.items():
+            model = MODELS[name]
+            terms = [model.term(l) for l in range(13)]
+            for left in model_sums:
+                for right in model_sums:
+                    product = _product(model, left, right)
+                    work = sum(prod(len(_block_tensor(x, y, len(x)))
+                                    for x, y in zip(t.blocks, term.blocks))
+                               for term in terms for t in product)
+                    assert work <= _summand_bound(product, terms, 10 ** 9)
 
-    def test_pieri_bound_holds_for_every_row(self):
-        """The Pieri bound of a product against term(l) is at least the summand
-        count, with multiplicity, of row l on both models, is one bound for
-        every l > 0 (term(0) = O gives one summand per term), and a single
-        summand reaches it once l is its first entry minus its last."""
-        texts = ("gr(3,5) u=[3,1,-2] q=[1,0]", "gr(3,5) u=[2,1,0] q=[1,-1] mult=3\n"
-                 "gr(3,5) u=[0,0,-2] q=[0,0]", "gr(2,5) u=[2,-1] q=[3,0,-2]",
-                 "gr(2,5) u=[1,0] q=[0,0,-2] mult=2\ngr(2,5) u=[2,2] q=[1,0,0]")
-        sums = [grflop.data.window_sum_plus("heart")]
-        sums += [parse_set_file(f"[a]\n{text}\n")["a"] for text in texts]
-        for product in sums:
-            model = next(m for m in MODELS.values() if m.base == product.space)
-            bound = _summand_bound(product, (model.term(1),), 10 ** 9, pieri=True)
-            for l in range(13):
-                term = model.term(l)
-                row = sum(t.mult for t in product.tensor(term))
-                assert row <= _summand_bound(product, (term,), 10 ** 9, pieri=True) \
-                    == (bound if l else sum(t.mult for t in product))
-        single = parse_bundle("gr(3,5) u=[3,1,-2] q=[1,0]")
-        counts = [len(single.tensor(MODELS["xplus"].term(l))) for l in range(8)]
-        assert counts[5:] == [3 * 4] * 3 and max(counts[:5]) < 3 * 4
-        assert _summand_bound((single,), (MODELS["xplus"].term(1),), pieri=True) == 3 * 4
+    @pytest.mark.parametrize("right, bound, rows", [
+        ("u=[50,0,-50] q=[0,0]", 23426, 23426),
+        ("u=[37,0,-37] q=[0,0]", 9880, 9880),
+        ("u=[0,0,-100] q=[0,0]", 9343, 5151),
+    ])
+    def test_table_bound_values(self, right, bound, rows):
+        """o against one bundle on xplus, rows 0..l0: the bound equals the
+        summand count for u=[50,0,-50] and u=[37,0,-37], and is 9,343 against
+        5,151 for u=[0,0,-100]."""
+        right = parse_bundle(f"gr(3,5) {right}")
+        table = ext_table(XPLUS, structure_sheaf(GR35), right)
+        terms = [XPLUS.term(l) for l in range(table.cutoff + 1)]
+        assert _summand_bound((right,), terms, 10 ** 9) == bound
+        assert sum(len(entries) for _, entries in table.rows) == rows
 
     @pytest.mark.parametrize("model, left, right, l0, bound", [
-        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[50,0,-50] q=[0,0]", 50, 2601),
-        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[0,0,-100] q=[0,0]", 100, 101),
-        ("xminus", "gr(2,5) u=[0,0] q=[0,0,0]", "gr(2,5) u=[0,0] q=[40,0,-40]", 40, 1681),
-        ("xminus", "gr(2,5) u=[0,0] q=[0,0,0]", "gr(2,5) u=[0,0] q=[37,0,-37]", 37, 1444),
-    ], ids=["50_0_-50", "0_0_-100", "minus-40", "minus-37"])
+        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[50,0,-50] q=[0,0]", 50, 23426),
+        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[0,0,-100] q=[0,0]", 100, 9343),
+        ("xplus", "gr(3,5) u=[0,0,0] q=[0,0]", "gr(3,5) u=[37,0,-37] q=[0,0]", 37, 9880),
+        ("xminus", "gr(2,5) u=[0,0] q=[0,0,0]", "gr(2,5) u=[0,0] q=[40,0,-40]", 40, 12341),
+        ("xminus", "gr(2,5) u=[0,0] q=[0,0,0]", "gr(2,5) u=[0,0] q=[37,0,-37]", 37, 9880),
+        ("xplus", "gr(3,5) u=[16,8,0] q=[0,0]", "gr(3,5) u=[16,8,0] q=[0,0]", 16, 96609),
+    ], ids=["50_0_-50", "0_0_-100", "37_0_-37", "minus-40", "minus-37", "16_8_0"])
     def test_auto_cutoff_large_row_refused_before_computing(
             self, model, left, right, l0, bound, tmp_path, capsys, monkeypatch):
-        """ext-total --cutoff auto whose Pieri bound on the summands of row l0
-        is past ROW_SUMMANDS_MAX is a usage error raised before any row is
-        built; o against u=[0,0,-100], whose row bound at l0 = 100 is 5,151,
-        still runs."""
+        """--cutoff auto and --cutoff l0 run the same rows 0..l0, so they make
+        the same decision: each reaches ext_table when the bound on those rows
+        is within TABLE_SUMMANDS_MAX, and each is refused before any row is
+        built, naming the rows and the limit on their total, when it is past."""
         sets = tmp_path / "sets.txt"
         sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
-        product = parse_set_file(sets.read_text())["b"]  # dual(o) (x) b is b
-        assert _summand_bound(product, (MODELS[model].term(l0),), 10 ** 9, pieri=True) == bound
-        calls = []
+        a, b = parse_set_file(sets.read_text()).values()
+        product = _product(MODELS[model], a, b)
+        terms = [MODELS[model].term(l) for l in range(l0 + 1)]
+        assert stable_cutoff(MODELS[model], a, b).l0 == l0
+        assert _summand_bound(product, terms, 10 ** 9) == bound
+        for cutoff in ("auto", l0):
+            calls = []
 
-        def stub(model, left, right, cutoff="auto"):
-            calls.append(cutoff)
-            return ext_table(model, left, right, 0)
-        monkeypatch.setattr(grflop.cli, "ext_table", stub)
-        code = main(["ext-total", "--model", model, "--left", "a", "--right", "b",
-                     "--sets", str(sets)])
-        err = capsys.readouterr().err
-        if bound <= ROW_SUMMANDS_MAX:
-            assert (code, calls, err) == (EXIT_OK, ["auto"], "")
-        else:
-            assert (code, calls) == (EXIT_USAGE, [])
-            assert err == (f"error: --cutoff auto: row {l0} may have more than "
-                           f"{ROW_SUMMANDS_MAX} summands, the limit\n")
+            def stub(model, left, right, cutoff="auto"):
+                calls.append(cutoff)
+                return ext_table(model, left, right, 0)
+            monkeypatch.setattr(grflop.cli, "ext_table", stub)
+            code = main(["ext-total", "--model", model, "--left", "a", "--right", "b",
+                         "--sets", str(sets), "--cutoff", str(cutoff)])
+            err = capsys.readouterr().err
+            if bound <= TABLE_SUMMANDS_MAX:
+                assert (code, calls, err) == (EXIT_OK, [cutoff], "")
+            else:
+                assert (code, calls) == (EXIT_USAGE, [])
+                assert err == (f"error: --cutoff {cutoff}: rows 0..{l0} may have more than "
+                               f"{TABLE_SUMMANDS_MAX} summands in all, the limit\n")
+
+    def test_auto_and_numeric_cutoff_print_the_same_rows(self, tmp_path, capsys):
+        """o against u=[0,0,-100]: --cutoff auto (l0 = 100) and --cutoff 100
+        both run and print the same 101 rows."""
+        sets = tmp_path / "sets.txt"
+        sets.write_text("[o]\ngr(3,5) u=[0,0,0] q=[0,0]\n[b]\ngr(3,5) u=[0,0,-100] q=[0,0]\n")
+        outs = []
+        for cutoff in ("auto", "100"):
+            assert main(["ext-total", "--model", "xplus", "--left", "o", "--right", "b",
+                         "--sets", str(sets), "--cutoff", cutoff]) == EXIT_OK
+            outs.append(capsys.readouterr().out.splitlines())
+        assert [out[0] for out in outs] == ["model xplus, cutoff 100 (auto, l0=100)",
+                                            "model xplus, cutoff 100"]
+        assert outs[0][1:] == outs[1][1:]
+        assert outs[0][-2].startswith("  level 100  degree 0  dim ")
 
     def test_level_limit_is_inclusive(self):
         parser = build_parser()
@@ -701,7 +733,8 @@ _COMMANDS = [
     (["ext-total"], [], {"--model": _pick("xplus", "xminus"),
                          "--left": _pick("o", "spade", "kapranov"),
                          "--right": _pick("o", "heart"),
-                         "--cutoff": _value(st.sampled_from(["auto", "0", "1", "2"]))}),
+                         "--cutoff": _value(st.sampled_from(
+                             ["auto", "0", "1", "2", "100", "101"]))}),
     (["tilting", "check"], [], {"--model": _pick("xplus"),
                                 "--window": _pick(*_WINDOWS)}),
     (["suite", "minus-vanishing"], [], {}),

@@ -13,8 +13,8 @@ import grflop.homog
 from grflop.homog import (FL235, GR25, GR35, BundleSum, FlagVariety,
                           HomogeneousBundle, as_sum, bott, line_bundle,
                           schur_sub_dual, structure_sheaf)
-from grflop.homog import _bott
-from grflop.partitions import _gl_tensor, weyl_dim
+from grflop.homog import _block_bound, _block_tensor, _bott
+from grflop.partitions import _gl_tensor, gl_tensor, pieri, weyl_dim
 from grflop.total_space import XMINUS, XPLUS
 from grflop.value import Value
 
@@ -225,6 +225,28 @@ class TestOnePassTensor:
         assert_same_sum(x.tensor(y), tensor_per_pair(x, y))
         assert_same_sum(xs[0].tensor(y), tensor_per_pair(xs[0], y))
         assert_same_sum(x.tensor(ys[0]), tensor_per_pair(x, ys[0]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_block_bound_holds(self, m):
+        """_block_bound(x, y) is at least the coefficient sum, hence the number
+        of pairs, of _block_tensor(x, y, m) for every pair of blocks in
+        [-4, 4]^m."""
+        blocks = list(combinations_with_replacement(range(4, -5, -1), m))
+        for x in blocks:
+            for y in blocks:
+                pairs = list(_block_tensor(x, y, m))
+                assert len(pairs) <= sum(c for _, c in pairs) <= _block_bound(x, y), (x, y)
+
+    def test_block_bound_branches(self):
+        """One pair per branch, each reaching its bound: det^c; the Pieri
+        strips of (2,1,0) against Sym^5 and (Sym^1)^dual; the smaller
+        dimension, 8, against (4,0,-4), whose product has 7 weights."""
+        assert _block_bound((3, 3, 3), (2, 1, 0)) == 1
+        assert _block_bound((2, 1, 0), (5, 0, 0)) == len(pieri((2, 1, 0), 5)) == 4
+        assert _block_bound((0, 0, -1), (2, 1, 0)) == len(pieri((2, 1, 0), -1)) == 3
+        product_ = gl_tensor((4, 0, -4), (1, 0, -1), 3)
+        assert _block_bound((4, 0, -4), (1, 0, -1)) == sum(c for _, c in product_) == 8
+        assert len(product_) == 7
 
 
 class TestBott:
