@@ -7,12 +7,11 @@ __version__ = "0.1.0"
 from .homog import (BundleSum, Cohomology, FlagVariety, GR25, GR35, FL235,
                     HomogeneousBundle, line_bundle, schur_sub_dual,
                     structure_sheaf)
-from .partitions import (WeightedSum, gl_tensor, lr_coefficient, lr_mult,
-                         shift, weyl_dim)
+from .partitions import gl_tensor, lr_coefficient, lr_mult, weyl_dim
 from .total_space import (XMINUS, XPLUS, TotalSpaceModel, ext_table,
                           is_pretilting, stable_cutoff)
-from .filtered import (FilteredBundle, core_extension, graded_euler,
-                       schur_filtered, vanishing_suite, window_bundle)
+from .filtered import (FilteredBundle, graded_euler, schur_filtered,
+                       vanishing_suite, window_bundle)
 from .stability import (ConeProblem, KNSolution, hl_enumerate, hl_membership,
                         kn_adapted, kn_stratification)
 from .exceptional import (ExceptionalCollection, ResolutionSequence,
@@ -23,12 +22,10 @@ __all__ = [
     "BundleSum", "Cohomology", "ConeProblem", "ExceptionalCollection",
     "FL235", "FilteredBundle", "FlagVariety", "GR25", "GR35",
     "HomogeneousBundle", "KNSolution", "ResolutionSequence", "TotalSpaceModel",
-    "WeightedSum", "XMINUS", "XPLUS", "builtin_collection",
-    "builtin_resolution", "check_collection", "check_resolution",
-    "core_extension", "ext_table", "gl_tensor", "graded_euler",
-    "hl_enumerate", "hl_membership", "is_pretilting", "kn_adapted",
-    "kn_stratification", "line_bundle", "lr_coefficient", "lr_mult",
-    "schur_filtered", "schur_sub_dual", "shift",
-    "stable_cutoff", "structure_sheaf", "vanishing_suite", "weyl_dim",
-    "window_bundle",
+    "XMINUS", "XPLUS", "builtin_collection", "builtin_resolution",
+    "check_collection", "check_resolution", "ext_table", "gl_tensor",
+    "graded_euler", "hl_enumerate", "hl_membership", "is_pretilting",
+    "kn_adapted", "kn_stratification", "line_bundle", "lr_coefficient",
+    "lr_mult", "schur_filtered", "schur_sub_dual", "stable_cutoff",
+    "structure_sheaf", "vanishing_suite", "weyl_dim", "window_bundle",
 ]

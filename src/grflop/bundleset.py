@@ -7,9 +7,10 @@ A bundle literal is one line, e.g.::
 
 ``mult`` may be omitted on input and defaults to 1.  A set file groups
 literals under ``[name]`` section headers; blank lines and ``#`` comments are
-ignored on input.  Serialization is canonical (terms in canonical order, mult
-always printed, one trailing newline), so canonical text round-trips through
-parse -> serialize byte-identically.
+ignored on input.  Each section parses to a canonical sum (terms merged and in
+canonical order), and ``HomogeneousBundle.literal()`` prints a term with its
+mult, so canonical text is each section's header followed by the literals of
+its terms.
 """
 
 from __future__ import annotations
@@ -104,10 +105,3 @@ def parse_set_file(text: str) -> dict[str, BundleSum]:
         out[name] = parse_sum(lines)
     return out
 
-
-def serialize_set_file(sets: dict[str, BundleSum]) -> str:
-    chunks = []
-    for name, s in sets.items():
-        chunks.append(f"[{name}]")
-        chunks.extend(t.literal() for t in s.terms)
-    return "\n".join(chunks) + "\n"

@@ -410,14 +410,20 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command or, when argv[0] is a command word, of
+    that word's commands alone.  A partial tree names every command word in
+    its metavar, so that its usage lines read as the whole tree's."""
     parser = argparse.ArgumentParser(
         prog="grflop",
         description="Exact cohomology of homogeneous bundles on Grassmannians, "
                     "with tilting/window verification suites.")
     parser.add_argument("--version", action="version", version=f"grflop {__version__}")
-    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
-    for words, help_text, specs, handler in COMMANDS:
+    rows = [row for row in COMMANDS if argv and row[0][0] == argv[0]]
+    metavar = "{" + ",".join(dict.fromkeys(row[0][0] for row in COMMANDS)) + "}"
+    subparsers = {(): parser.add_subparsers(dest="command", required=True,
+                                            metavar=metavar if rows else None)}
+    for words, help_text, specs, handler in rows or COMMANDS:
         group = words[:-1]
         if group not in subparsers:
             subparsers[group] = subparsers[()].add_parser(
@@ -453,7 +459,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return _dispatch(args)
     except BrokenPipeError:

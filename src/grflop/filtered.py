@@ -49,38 +49,6 @@ class FilteredBundle(Value):
             raise ValueError("all pieces must live on one space")
         super().__init__(pieces, offsets, label)
 
-    @property
-    def space(self):
-        return self.pieces[0].space
-
-    def rank(self) -> int:
-        return sum(p.rank() for p in self.pieces)
-
-    def dual(self) -> "FilteredBundle":
-        """Dualize each graded piece, negate offsets, reverse the order."""
-        return FilteredBundle(
-            tuple(p.dual() for p in reversed(self.pieces)),
-            tuple(-o for o in reversed(self.offsets)),
-            f"dual({self.label})" if self.label else "",
-        )
-
-    def refined(self) -> "FilteredBundle":
-        """Split every piece into its irreducible terms (offsets preserved)."""
-        pieces: list[BundleSum] = []
-        offsets: list[int] = []
-        for p, o in zip(self.pieces, self.offsets):
-            for t in p:
-                pieces.append(BundleSum.of(p.space, [t]))
-                offsets.append(o)
-        return FilteredBundle(tuple(pieces), tuple(offsets), self.label)
-
-
-def core_extension() -> FilteredBundle:
-    """The rank-3 extension of the dual tautological subbundle by O(-2)."""
-    sub = BundleSum.of(GR25, [line_bundle(GR25, -2)])
-    quot = BundleSum.of(GR25, [schur_sub_dual(GR25, (1, 0))])
-    return FilteredBundle((sub, quot), (1, 0), "ext")
-
 
 def schur_filtered(chi: Iterable[int]) -> FilteredBundle:
     """Graded pieces of the Schur power S^chi of the core extension E.
@@ -180,10 +148,25 @@ def _by_offset(pieces: list[tuple[BundleSum, int]]) -> dict[int, BundleSum]:
 
 @lru_cache(maxsize=4096)
 def _level_euler(s: BundleSum, m: int) -> int:
-    """chi(s (x) term(m)) on the minus total space, memoized: the windows club
-    and diamond are the duals of spade and heart, End(W^dual) = End(W), so
-    their shift sums S_d equal those of spade and heart."""
+    """chi(s (x) term(m)) on the minus total space, memoized: equal shift
+    sums, as those of a window and of its dual, share their levels."""
     return euler_sum(XMINUS, s, m)
+
+
+@lru_cache(maxsize=16)
+def _window_euler(weights: tuple, max_l: int) -> tuple[int, ...]:
+    """graded_euler of End(W) for the minus window W of these weights,
+    memoized.  S^(dual chi) E is the dual of S^chi E, pieces and offsets
+    alike, so End(W^dual) = End(W): keyed by _dual_key, club and diamond
+    take the values of spade and heart and build no shift sums."""
+    minus = [schur_filtered(chi) for chi in weights]
+    return graded_euler(minus, minus, max_l)
+
+
+def _dual_key(weights) -> tuple:
+    """The same key for a window's weights and for their duals."""
+    dual = (tuple(-x for x in reversed(chi)) for chi in weights)
+    return min(tuple(sorted(weights)), tuple(sorted(dual)))
 
 
 class SuiteItem(Value):
@@ -241,9 +224,8 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     self-Ext at levels 0..max_l is read from the pretilting table, whose
     certificate covers every level past its last row.
     """
-    minus = window_bundle("minus", star)
-    chi = graded_euler(list(minus), list(minus), max_l)
-    plus = data.window_sum_plus(star)
+    plus = window_bundle("plus", star)  # refuses an unknown star
+    chi = _window_euler(_dual_key(data.WINDOW_WEIGHTS[star]), max_l)
     product = _product(XPLUS, plus, plus)
     plus_values = tuple(euler_sum(XPLUS, product, l) for l in range(max_l + 1))
     witnesses = is_pretilting(XPLUS, plus).witnesses

@@ -52,11 +52,6 @@ class FlagVariety(Value):
     def is_grassmannian(self) -> bool:
         return len(self.dims) == 1
 
-    @property
-    def dimension(self) -> int:
-        b = self.block_sizes()
-        return sum(b[i] * b[j] for i in range(len(b)) for j in range(i + 1, len(b)))
-
     def twist_generators(self) -> tuple[str, ...]:
         if self.is_grassmannian:
             return ("O",)
@@ -258,9 +253,6 @@ class BundleSum(Value):
     def __iter__(self):
         return iter(self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def rank(self) -> int:
         return sum(t.rank() for t in self.terms)
 
@@ -292,10 +284,6 @@ class BundleSum(Value):
         """Bott cohomology per term, in canonical term order."""
         return tuple((t, t.cohomology()) for t in self.terms)
 
-    def signed_euler(self) -> int:
-        """Alternating sum of cohomology dimensions, multiplicities included."""
-        return sum(t.mult * c.signed_dim() for t, c in self.cohomology())
-
 
 def _block_tensor(x: Weight, y: Weight, m: int):
     """The (weight, coefficient) pairs of V_x (x) V_y for GL(m), on weights of
@@ -318,7 +306,7 @@ def _block_tensor(x: Weight, y: Weight, m: int):
         c += a[-1]  # share one memo entry among the twists of a
         return [(tuple([v + c for v in nu]), 1)
                 for nu in pieri(tuple([v - a[-1] for v in a]), l)]
-    return gl_tensor(x, y, m).items()
+    return gl_tensor(x, y, m)
 
 
 def _block_bound(x: Weight, y: Weight) -> int:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Weight = tuple[int, ...]
+# A decomposed product: (weight, coefficient) pairs sorted by weight, each
+# weight of one length and each coefficient positive.
+Product = tuple[tuple[Weight, int], ...]
 
 
 def as_weight(entries: Iterable[int]) -> Weight:
@@ -28,11 +31,6 @@ def as_partition(entries: Iterable[int]) -> Weight:
     if w and w[-1] < 0:
         raise ValueError(f"negative entry in partition: {w}")
     return w
-
-
-def shift(w: Iterable[int], t: int) -> Weight:
-    """Add t to every entry; length is preserved."""
-    return tuple(x + t for x in as_weight(w))
 
 
 def pad(w: Iterable[int], m: int) -> Weight:
@@ -74,96 +72,6 @@ def weyl_dim(w: Iterable[int], m: int) -> int:
     if r:
         raise AssertionError(f"Weyl product not integral for {lam}, m={m}")
     return q
-
-
-def _fit(w: Weight, m: int) -> Weight:
-    """Normalize w to length m, treating trailing zeros as padding."""
-    if len(w) == m:
-        return w
-    if len(w) < m:
-        if w and w[-1] < 0:
-            raise ValueError(f"cannot pad {w} to length {m}")
-        return w + (0,) * (m - len(w))
-    if any(w[m:]):
-        raise ValueError(f"weight {w} does not fit length {m}")
-    return w[:m]
-
-
-class WeightedSum:
-    """Finite formal sum of equal-length integer weights with positive multiplicities.
-
-    Keys are stored zero-padded to a declared length and in lexicographic
-    order, so equal sums compare equal structurally.
-    """
-
-    __slots__ = ("length", "_terms")
-
-    def __init__(self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]],
-                 length: int | None = None):
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        raw: dict[Weight, int] = {}
-        for w, c in pairs:
-            w = as_weight(w)
-            c = int(c)
-            if c < 0:
-                raise ValueError(f"negative multiplicity {c} for {w}")
-            if c:
-                raw[w] = raw.get(w, 0) + c
-        if length is None:
-            length = max((len(w) for w in raw), default=0)
-        self.length = int(length)
-        merged: dict[Weight, int] = {}
-        for w, c in raw.items():
-            key = _fit(w, self.length)
-            merged[key] = merged.get(key, 0) + c
-        self._terms = dict(sorted(merged.items()))
-
-    @classmethod
-    def _trusted(cls, terms: dict[Weight, int], length: int) -> "WeightedSum":
-        """Wrap terms already canonical for `length` (keys of that length,
-        sorted, with positive multiplicities), skipping validation and sorting."""
-        self = object.__new__(cls)
-        self.length = length
-        self._terms = terms
-        return self
-
-    def items(self) -> Iterator[tuple[Weight, int]]:
-        return iter(self._terms.items())
-
-    def weights(self) -> tuple[Weight, ...]:
-        return tuple(self._terms)
-
-    def coefficient(self, w: Iterable[int]) -> int:
-        try:
-            key = _fit(as_weight(w), self.length)
-        except ValueError:
-            return 0
-        return self._terms.get(key, 0)
-
-    def __iter__(self) -> Iterator[tuple[Weight, int]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedSum):
-            return NotImplemented
-        m = max(self.length, other.length)
-        try:
-            a = {_fit(w, m): c for w, c in self._terms.items()}
-            b = {_fit(w, m): c for w, c in other._terms.items()}
-        except ValueError:
-            return False
-        return a == b
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*{w}" if c != 1 else f"{w}"
-                          for w, c in self._terms.items())
-        return f"WeightedSum({body or '0'})"
 
 
 def _strip_additions(shape: tuple[int, ...], count: int,
@@ -250,11 +158,12 @@ def _lr_products(lam: Weight, mu: Weight, max_rows: int) -> dict[Weight, int]:
     return out
 
 
-def lr_mult(lam: Iterable[int], mu: Iterable[int]) -> WeightedSum:
+def lr_mult(lam: Iterable[int], mu: Iterable[int]) -> Product:
     """Littlewood-Richardson product of two partitions.
 
-    Returns sum of c^nu_{lam,mu} * nu over partitions nu with
-    |nu| = |lam| + |mu|; coefficients count lattice-word skew tableaux.
+    Returns the pairs (nu, c^nu_{lam,mu}) over partitions nu with
+    |nu| = |lam| + |mu|, zero-padded to len(lam) + len(mu) rows once trailing
+    zeros are dropped; coefficients count lattice-word skew tableaux.
     """
     lam = strip_zeros(as_partition(lam))
     mu = strip_zeros(as_partition(mu))
@@ -262,24 +171,26 @@ def lr_mult(lam: Iterable[int], mu: Iterable[int]) -> WeightedSum:
 
 
 def lr_coefficient(nu: Iterable[int], lam: Iterable[int], mu: Iterable[int]) -> int:
-    """The LR coefficient c^nu_{lam,mu}."""
+    """The LR coefficient c^nu_{lam,mu}.  Trailing zeros of nu are padding: a
+    shorter nu is zero-padded, and one with a nonzero part past the rows of
+    lr_mult(lam, mu) has coefficient 0."""
     nu = as_partition(nu)
     lam = as_partition(lam)
     mu = as_partition(mu)
     if sum(nu) != sum(lam) + sum(mu):
         return 0
-    return lr_mult(lam, mu).coefficient(nu)
+    nu = strip_zeros(nu)
+    return next((c for w, c in lr_mult(lam, mu) if strip_zeros(w) == nu), 0)
 
 
-def gl_tensor(lam: Iterable[int], mu: Iterable[int], m: int) -> WeightedSum:
+def gl_tensor(lam: Iterable[int], mu: Iterable[int], m: int) -> Product:
     """Decompose the GL(m) tensor product of irreducibles with highest weights lam, mu.
 
     Both weights are shifted to partitions, multiplied by the LR rule with
     shapes truncated to m rows, and shifted back.  Output weights have length m.
     Since V_{lam+a} (x) V_{mu+b} = (V_lam (x) V_mu) (x) det^(a+b), a weight
     shorter than m is zero-padded, both are shifted to end in 0, and the
-    product of those is memoized and shifted back.  Results are shared between
-    callers; a WeightedSum has no mutators.
+    product of those is memoized and shifted back.
     """
     lam, mu = tuple(lam), tuple(mu)
     lam = lam if len(lam) == m else pad(lam, m)
@@ -294,13 +205,12 @@ def gl_tensor(lam: Iterable[int], mu: Iterable[int], m: int) -> WeightedSum:
     t = a + b
     if not t:
         return table
-    # A uniform shift keeps the lexicographic order of the keys.
-    return WeightedSum._trusted(
-        {tuple([x + t for x in nu]): c for nu, c in table.items()}, m)
+    # A uniform shift keeps the order of the weights.
+    return tuple([(tuple([x + t for x in nu]), c) for nu, c in table])
 
 
 @lru_cache(maxsize=4096)
-def _gl_tensor(lam: tuple, mu: tuple, m: int) -> WeightedSum:
+def _gl_tensor(lam: tuple, mu: tuple, m: int) -> Product:
     """gl_tensor on canonical tuples, memoized.  Exceptions are not cached, so
     invalid input raises on every call."""
     lam_p = pad(as_weight(lam), m)
@@ -311,5 +221,4 @@ def _gl_tensor(lam: tuple, mu: tuple, m: int) -> WeightedSum:
     mu_sh = tuple(x + b for x in mu_p)
     table = _lr_products(lam_sh, mu_sh, m)
     total = a + b
-    out = {tuple(x - total for x in nu): c for nu, c in table.items()}
-    return WeightedSum(out, length=m)
+    return tuple(sorted((tuple(x - total for x in nu), c) for nu, c in table.items()))

@@ -154,21 +154,6 @@ class ExtTable(Value):
         return [(l, d, n) for l, entries in self.rows
                 for d, n in degree_totals(entries).items()]
 
-    def _row_totals(self, l: int) -> dict[int, int]:
-        """Total dimension by degree in row l."""
-        for lv, entries in self.rows:
-            if lv == l:
-                return degree_totals(entries)
-        raise KeyError(f"row {l} not computed")
-
-    def hom_dim(self, l: int) -> int:
-        """Total degree-0 dimension in row l."""
-        return self._row_totals(l).get(0, 0)
-
-    def signed_dim(self, l: int) -> int:
-        """Alternating sum of dimensions in row l."""
-        return sum(n if d % 2 == 0 else -n for d, n in self._row_totals(l).items())
-
     def violations(self) -> tuple[tuple[int, HomogeneousBundle, int, int], ...]:
         """(level, summand, degree, dim) for every positive-degree entry."""
         out = []

@@ -1,0 +1,79 @@
+"""Reference computations the tests share, built from the package's API:
+values that no command of the package asks for."""
+
+from grflop.filtered import FilteredBundle
+from grflop.homog import (GR25, BundleSum, HomogeneousBundle, degree_totals,
+                          line_bundle, schur_sub_dual)
+
+
+def shift(w, t):
+    """Add t to every entry of a weight; length is preserved."""
+    return tuple(x + t for x in w)
+
+
+def dimension(space):
+    """The dimension of a flag variety, read as the Bott degree of a bundle
+    whose blocks rise steeply from first to last: every pair of entries in
+    different blocks is then an inversion."""
+    blocks = tuple((10 * i,) * s for i, s in enumerate(space.block_sizes()))
+    return HomogeneousBundle(space, blocks).cohomology().degree
+
+
+def signed_euler(s):
+    """Alternating sum of the cohomology dimensions of a sum, multiplicities
+    included."""
+    return sum(t.mult * c.signed_dim() for t, c in s.cohomology())
+
+
+def row_totals(table, l):
+    """Total dimension by degree in row l of an Ext table."""
+    for level, entries in table.rows:
+        if level == l:
+            return degree_totals(entries)
+    raise KeyError(f"row {l} not computed")
+
+
+def hom_dim(table, l):
+    """Total degree-0 dimension in row l of an Ext table."""
+    return row_totals(table, l).get(0, 0)
+
+
+def signed_dim(table, l):
+    """Alternating sum of the dimensions in row l of an Ext table."""
+    return sum(n if d % 2 == 0 else -n for d, n in row_totals(table, l).items())
+
+
+def core_extension():
+    """The rank-3 extension of the dual tautological subbundle by O(-2)."""
+    sub = BundleSum.of(GR25, [line_bundle(GR25, -2)])
+    quot = BundleSum.of(GR25, [schur_sub_dual(GR25, (1, 0))])
+    return FilteredBundle((sub, quot), (1, 0), "ext")
+
+
+def rank(fb):
+    """The rank of a filtered bundle, the sum of its pieces' ranks."""
+    return sum(p.rank() for p in fb.pieces)
+
+
+def dual(fb):
+    """Dualize each graded piece, negate the offsets, reverse the order."""
+    return FilteredBundle(tuple(p.dual() for p in reversed(fb.pieces)),
+                          tuple(-o for o in reversed(fb.offsets)),
+                          f"dual({fb.label})" if fb.label else "")
+
+
+def refined(fb):
+    """Split every piece into its irreducible terms, offsets preserved."""
+    pairs = [(BundleSum.of(p.space, [t]), o)
+             for p, o in zip(fb.pieces, fb.offsets) for t in p]
+    return FilteredBundle(tuple(p for p, _ in pairs), tuple(o for _, o in pairs), fb.label)
+
+
+def serialize_set_file(sets):
+    """Canonical text of named bundle sums: a [name] header, then the
+    literals of its terms, one trailing newline."""
+    lines = []
+    for name, s in sets.items():
+        lines.append(f"[{name}]")
+        lines.extend(t.literal() for t in s.terms)
+    return "\n".join(lines) + "\n"

@@ -239,22 +239,27 @@ def test_verify_all_work_counts():
       27 hits are every row of club and diamond (5 + 4, equal to spade's and
       heart's) and the 18 rows of the four windows' pretilting tables that
       euler_cross_check reads its witnesses from.
-    - _level_euler: spade and heart compute 128 levels (shift sum, level);
-      club and diamond, with the same shift sums, hit all 128.
+    - _level_euler: spade and heart compute 128 levels (shift sum, level),
+      and club and diamond none: the minus values are memoized once per
+      window and its dual (_window_euler).  Before, club and diamond built
+      the same shift sums again and hit all 128 levels.
     - _gl_tensor, _bott and the window ranges: 1, 251 and 22 distinct inputs
       (107 and 771 before one-row blocks took Pieri's rule and the Euler
       step stopped building rows).
-    - The new memos: pieri 102 distinct inputs, 937 hits; _term_euler 805
+    - The new memos: pieri 102 distinct inputs, 863 hits (937 when club and
+      diamond built their own shift sums); _term_euler 805
       (term, level) values, 1,963 hits; _product 17 products, 8 hits
       (the Euler step's two reads of each window's product).
     - Calls at two import sites: BundleSum.tensor takes 2 block products
       through gl_tensor (1,147 before Pieri's rule, 9,102 before constant
-      blocks were shifted instead) and 1,039 through pieri, and verify makes
+      blocks were shifted instead) and 965 through pieri (1,039 before club
+      and diamond took the shift sums of spade and heart), and verify makes
       3 hl_enumerate calls (9,264 before the box sweep read the window range
       table).
     - HomogeneousBundle.cohomology makes 1,420 bott calls (3,513 when the
-      Euler step went through Bott), and 338 bundles pass the validating
-      HomogeneousBundle.__init__ (555 before term(l) built through _trusted
+      Euler step went through Bott), and 306 bundles pass the validating
+      HomogeneousBundle.__init__ (338 before club and diamond took the shift
+      sums of spade and heart; 555 before term(l) built through _trusted
       and euler_cross_check built each plus window once; 1,132 before dual()
       built through _trusted).
     """
@@ -265,15 +270,15 @@ def test_verify_all_work_counts():
                          capture_output=True, text=True, timeout=300).stdout
     counts = json.loads(out)
     assert counts["_ext_row"] == [27, 40]
-    assert counts["_level_euler"] == [128, 128]
+    assert counts["_level_euler"] == [0, 128]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
         [1, 251, 22]
     assert [counts[name] for name in ("pieri", "_term_euler", "_product")] == \
-        [[937, 102], [1963, 805], [8, 17]]
+        [[863, 102], [1963, 805], [8, 17]]
     assert counts["maxsize"] == [4096, 4096, 256]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
-            counts["grflop.verify.hl_enumerate"]] == [2, 1039, 3]
-    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [1420, 338]
+            counts["grflop.verify.hl_enumerate"]] == [2, 965, 3]
+    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [1420, 306]
 
 
 def _window_report(w) -> str:

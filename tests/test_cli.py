@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, bundle-set files and report JSON."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import grflop.cli
 import grflop.data
-from grflop.bundleset import parse_bundle, parse_set_file, serialize_set_file
+from grflop.bundleset import parse_bundle, parse_set_file
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
                         LEVEL_MAX, LR_MAX_BOXES, SUMMANDS_MAX, TABLE_SUMMANDS_MAX,
                         TWISTS_MAX, WEYL_MAX_M, _resolve_set, _summand_bound, build_parser,
@@ -27,6 +28,7 @@ from grflop.report import Report, encode_value
 from grflop.stability import ConeProblem, kn_adapted
 from grflop.total_space import MODELS, XPLUS, _product, ext_table, stable_cutoff
 from grflop.verify import verify_all
+from helpers import serialize_set_file
 
 
 class TestBundleLiterals:
@@ -858,3 +860,28 @@ def test_pinned_output(line, capsys, monkeypatch):
         code = exc.code
     text = f"{code}\n{capsys.readouterr().out}"
     assert hashlib.md5(text.encode()).hexdigest() == _PINNED[line]
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["weyl", "dim", "2,1,0", "3"], 3),
+    (["lr", "mult", "1", "1"], 4),
+    (["verify-all"], 2),
+    (["--help"], 25),
+    (["--version"], 25),
+    (["bogus"], 25),
+    (["--json", "-", "verify-all"], 25),
+    ([], 25),
+])
+def test_parsers_built_per_argv(argv, parsers, capsys, monkeypatch):
+    """main builds the top parser, the group's and the leaves' of the command
+    word argv[0] names, and the whole tree of 1 + 9 groups + 15 leaves for
+    --help, --version, an unknown word or an option in first position."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert len(built) == parsers

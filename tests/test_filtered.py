@@ -3,14 +3,16 @@
 import pytest
 
 from grflop import filtered
-from grflop.filtered import (FilteredBundle, _as_pieces, _shift_sums, core_extension,
-                             euler_cross_check, graded_euler, schur_filtered,
-                             vanishing_suite, window_bundle)
+from grflop.filtered import (FilteredBundle, _as_pieces, _shift_sums, euler_cross_check,
+                             graded_euler, schur_filtered, vanishing_suite,
+                             window_bundle)
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.partitions import weyl_dim
 from grflop.total_space import XMINUS, XPLUS, ext_table, is_pretilting
+from grflop.verify import verify_all
 from grflop import data
+from helpers import core_extension, dual, rank, refined, signed_dim, signed_euler
 
 
 def piece_blocks(fb):
@@ -77,7 +79,7 @@ class TestSchurFiltered:
     def test_rank_additivity(self, chi):
         t = max(0, -chi[2])
         expected = weyl_dim(tuple(x + t for x in chi), 3)
-        assert schur_filtered(chi).rank() == expected
+        assert rank(schur_filtered(chi)) == expected
 
     def test_rank_additivity_box(self):
         for a in range(-3, 4):
@@ -85,7 +87,7 @@ class TestSchurFiltered:
                 for c in range(-3, b + 1):
                     chi = (a, b, c)
                     shift = max(0, -c)
-                    assert schur_filtered(chi).rank() == \
+                    assert rank(schur_filtered(chi)) == \
                         weyl_dim(tuple(x + shift for x in chi), 3)
 
     def test_defining_weight_is_core_extension(self):
@@ -106,7 +108,7 @@ class TestSchurFiltered:
         """Dualizing pieces and dualizing the weight give the same bundles;
         the two equivariant normalizations differ by a determinant character."""
         direct = schur_filtered((0, 0, -1))
-        via_dual = core_extension().dual()
+        via_dual = dual(core_extension())
         assert [p for p in direct.pieces] == [p for p in via_dual.pieces]
         diffs = {a - b for a, b in zip(direct.offsets, via_dual.offsets)}
         assert len(diffs) == 1
@@ -129,8 +131,8 @@ class TestGradedEuler:
         p = schur_filtered((2, 1, 0))
         q = schur_filtered((1, 1, 0))
         coarse = graded_euler(p, q, 4)
-        assert graded_euler(p.refined(), q.refined(), 4) == coarse
-        assert graded_euler(p.refined(), q, 4) == coarse
+        assert graded_euler(refined(p), refined(q), 4) == coarse
+        assert graded_euler(refined(p), q, 4) == coarse
 
     def test_offsets_matter(self):
         """Zeroing the offsets breaks the anchor value, so they are load-bearing."""
@@ -155,7 +157,7 @@ def graded_euler_per_pair(left, right, max_l):
             t = l - op + oq
             if t < 0:
                 continue
-            total += prod.tensor(XMINUS.term(t)).signed_euler()
+            total += signed_euler(prod.tensor(XMINUS.term(t)))
         values.append(total)
     return tuple(values)
 
@@ -172,8 +174,8 @@ class TestGradedEulerOracle:
     def test_refined_inputs(self):
         p = schur_filtered((2, 1, 0))
         q = schur_filtered((1, 0, -1))
-        for left, right in [(p.refined(), q.refined()), (p.refined(), q),
-                            (q, p.refined())]:
+        for left, right in [(refined(p), refined(q)), (refined(p), q),
+                            (q, refined(p))]:
             assert graded_euler(left, right, 5) == \
                 graded_euler_per_pair(left, right, 5)
 
@@ -219,6 +221,22 @@ class TestLevelEulerMemo:
         _shift_sums(minus, minus)
         assert len(calls) == 16
 
+    def test_verify_all_builds_shift_sums_once_per_dual_pair(self, monkeypatch):
+        """One verify_all() builds the minus shift sums twice, not four
+        times: club and diamond share the _window_euler key of spade and
+        heart, their duals."""
+        key = {star: filtered._dual_key(data.WINDOW_WEIGHTS[star]) for star in data.WINDOW_NAMES}
+        assert key["spade"] == key["club"] != key["heart"] == key["diamond"]
+        calls = []
+        shift_sums = filtered._shift_sums
+        monkeypatch.setattr(filtered, "_shift_sums",
+                            lambda left, right: calls.append(1) or shift_sums(left, right))
+        filtered._window_euler.cache_clear()
+        verify_all()
+        assert len(calls) == 2
+        info = filtered._window_euler.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
     def test_memo_is_bounded(self):
         assert filtered._level_euler.cache_info().maxsize == 4096
 
@@ -232,7 +250,7 @@ class TestWindowBundles:
         bundles = window_bundle("minus", "spade")
         assert len(bundles) == 10
         assert all(isinstance(b, FilteredBundle) for b in bundles)
-        assert sum(b.rank() for b in bundles) == \
+        assert sum(rank(b) for b in bundles) == \
             data.window_sum_plus("spade").rank()
 
     def test_club_is_termwise_dual_of_spade(self):
@@ -265,7 +283,7 @@ class TestCrossSide:
         assert any(t.mult > 1 for t in w.dual().tensor(w))
         table = ext_table(XPLUS, w, w, cutoff=12)
         assert euler_cross_check(star, 12)["plus"] == \
-            [table.signed_dim(l) for l in range(13)]
+            [signed_dim(table, l) for l in range(13)]
 
     def test_plus_has_higher_reads_the_pretilting_witnesses(self, monkeypatch):
         """On a plus set with higher self-Ext at levels 2 and 3 only (l0 = 6),

@@ -17,6 +17,7 @@ from grflop.homog import _block_bound, _block_tensor, _bott
 from grflop.partitions import _gl_tensor, gl_tensor, pieri, weyl_dim
 from grflop.total_space import XMINUS, XPLUS
 from grflop.value import Value
+from helpers import dimension
 
 
 def decreasing_tuple(length, lo=-4, hi=4):
@@ -51,9 +52,9 @@ class TestFlagVariety:
         assert FL235.block_sizes() == (2, 1, 2)
 
     def test_dimension(self):
-        assert GR25.dimension == 6
-        assert GR35.dimension == 6
-        assert FL235.dimension == 8
+        assert dimension(GR25) == 6
+        assert dimension(GR35) == 6
+        assert dimension(FL235) == 8
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -152,7 +153,7 @@ def tensor_per_pair(x, y) -> BundleSum:
             per_block = [_gl_tensor.__wrapped__(p, q, s)
                          for p, q, s in zip(a.blocks, b.blocks, sizes)]
             pair = []
-            for combo in product(*(list(ws.items()) for ws in per_block)):
+            for combo in product(*per_block):
                 mult = a.mult * b.mult * prod(c for _, c in combo)
                 pair.append(HomogeneousBundle(space, tuple(w for w, _ in combo), mult))
             out.extend(BundleSum.of(space, pair).terms)
@@ -334,7 +335,7 @@ class TestBott:
     def test_degree_bounded_by_dimension(self, e):
         c = e.cohomology()
         if not c.is_acyclic:
-            assert 0 <= c.degree <= GR25.dimension
+            assert 0 <= c.degree <= dimension(GR25)
             assert c.dim == weyl_dim(c.weight, 5)
 
 
@@ -403,7 +404,7 @@ class TestBundleSumCanonical:
     def test_merges_multiplicities(self):
         u = schur_sub_dual(GR25, (1, 0))
         s = BundleSum.of(GR25, [u, u, u.with_mult(2)])
-        assert len(s) == 1
+        assert len(s.terms) == 1
         assert s.terms[0].mult == 4
 
     def test_order_independent(self):

@@ -21,7 +21,7 @@ from grflop.exceptional import (CollectionReport, ExceptionalCollection,
                                 ResolutionReport, ResolutionSequence, Violation,
                                 builtin_collection, builtin_resolution,
                                 check_collection, check_resolution)
-from grflop.filtered import FilteredBundle, SuiteItem, core_extension
+from grflop.filtered import FilteredBundle, SuiteItem
 from grflop.homog import (GR25, GR35, BundleSum, Cohomology, FlagVariety,
                           HomogeneousBundle, line_bundle, structure_sheaf)
 from grflop.report import Report
@@ -31,6 +31,7 @@ from grflop.total_space import (XMINUS, XPLUS, CutoffCertificate, ExtTable,
                                 PretiltingReport, TotalSpaceModel, ext_table,
                                 is_pretilting)
 from grflop.value import Value
+from helpers import core_extension
 
 # The modules perfbench/layers.py and perfbench/cuts.py look up in sys.modules.
 TRACED_MODULES = ("bundleset", "cli", "exceptional", "filtered", "homog",
