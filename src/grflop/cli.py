@@ -53,9 +53,9 @@ SUMMANDS_MAX = 4096
 # Rows 0..N are the product against term(0..N), refused past this
 # _summand_bound of the two, so `--cutoff N` and `auto` at l0 = N decide
 # alike.  Whole processes, text (`--json -`): heart against kapranov at 100,
-# the built-in top, 14,397, 0.6 s (0.9 s); o against u=[50,0,-50] at auto
-# 23,426, 1.4 s (2.2 s); o against u=[8,0,-38] at 100, the slowest found,
-# 29,601, 1.5 s (2.5 s).  A limit admitting u=[16,8,0] against itself
+# the built-in top, 14,397, 0.2 s (0.6 s); o against u=[50,0,-50] at auto
+# 23,426, 0.5 s (1.3 s); o against u=[8,0,-38] at 100, the slowest found,
+# 29,601, 0.5 s (1.6 s).  A limit admitting u=[16,8,0] against itself
 # (96,609; 0.44 s in process) admits o against u=[90,70,0] at 100 (97,797;
 # 2.2 s), near the refused o against u=[100,50,0] at 100 (140,226; 3.1 s).
 TABLE_SUMMANDS_MAX = 30000

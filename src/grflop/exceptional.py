@@ -51,7 +51,7 @@ class CollectionReport(Value):
             "name": self.collection.name,
             "objects": [o.literal() for o in self.collection.objects],
             "passed": self.passed,
-            "violations": [v.as_json() for v in self.violations],
+            "violations": self.violations,
         }
 
 

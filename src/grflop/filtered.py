@@ -113,10 +113,10 @@ def graded_euler(left, right, max_l: int = 8) -> tuple[int, ...]:
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
     Since (x) distributes over direct sums and the signed sum is additive,
     this is chi_l = sum over d with l + d >= 0 of chi(S_d (x) term(l + d))
-    for the shift sums S_d of _shift_sums, each memoized in _level_euler.
+    for the shift sums S_d of _shift_sums.
     """
     sums = _shift_sums(left, right).items()
-    return tuple(sum(_level_euler(s, l + d) for d, s in sums if l + d >= 0)
+    return tuple(sum(euler_sum(XMINUS, s, l + d) for d, s in sums if l + d >= 0)
                  for l in range(max_l + 1))
 
 
@@ -144,13 +144,6 @@ def _by_offset(pieces: list[tuple[BundleSum, int]]) -> dict[int, BundleSum]:
     for p, o in pieces:
         terms.setdefault(o, []).extend(p.terms)
     return {o: BundleSum.of(GR25, ts) for o, ts in terms.items()}
-
-
-@lru_cache(maxsize=4096)
-def _level_euler(s: BundleSum, m: int) -> int:
-    """chi(s (x) term(m)) on the minus total space, memoized: equal shift
-    sums, as those of a window and of its dual, share their levels."""
-    return euler_sum(XMINUS, s, m)
 
 
 @lru_cache(maxsize=16)

@@ -156,7 +156,7 @@ class HomogeneousBundle(Value):
         object.__setattr__(self, "mult", mult)
         return self
 
-    # The _ext_row and _level_euler memos hash and compare sums of these
+    # The _ext_row and _product memos hash and compare sums of these
     # hundreds of times per verify-all: spelled out rather than built through
     # Value._fields.  The block shapes fix the space, so the hash leaves it out.
     def __eq__(self, other):

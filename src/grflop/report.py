@@ -1,8 +1,10 @@
 """Machine-readable reports with a deterministic JSON serialization.
 
 Reports carry no timestamps and are serialized with sorted keys, so identical
-inputs produce byte-identical output.  Exact rationals are encoded as
-{"num": ..., "den": ...}; weights as arrays of integers.
+inputs produce byte-identical output.  Payloads stay the values they were
+passed as until the report is written, in one ``json.dumps`` pass: exact
+rationals are encoded as {"num": ..., "den": ...}, weights as arrays of
+integers, and any other object through its ``as_json()``.
 """
 
 from __future__ import annotations
@@ -17,19 +19,15 @@ FAIL = "fail"
 INFO = "info"
 
 
-def encode_value(x):
-    """Recursively convert payload values into JSON-compatible structures."""
+def _encode(x):
+    """json.dumps' hook for what json cannot write itself.  json calls it for
+    no subclass of dict, list, tuple, str or int, so no payload class may
+    subclass them."""
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, dict):
-        return {str(k): encode_value(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [encode_value(v) for v in x]
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
     as_json = getattr(x, "as_json", None)
     if callable(as_json):
-        return encode_value(as_json())
+        return as_json()
     raise TypeError(f"cannot encode {type(x).__name__} into a report")
 
 
@@ -42,12 +40,16 @@ class Report:
         self.checks = []
 
     def add(self, check_id: str, status: str, payload=None) -> None:
+        """Record one check.  The payload is kept as passed and encoded only
+        by to_json_text: dicts, lists, tuples, str, int, bool, None, Fraction
+        and objects with an as_json() returning such values.  Dict keys must
+        be strings, since json sorts the keys as given."""
         if status not in (PASS, FAIL, INFO):
             raise ValueError(f"invalid status {status!r}")
         self.checks.append({
             "id": check_id,
             "status": status,
-            "payload": encode_value(payload if payload is not None else {}),
+            "payload": payload if payload is not None else {},
         })
 
     def add_bool(self, check_id: str, ok: bool, payload=None) -> None:
@@ -66,10 +68,10 @@ class Report:
             "version": __version__,
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
-            "input": encode_value(self.input_echo),
+            "input": self.input_echo,
             "checks": self.checks,
             "summary": counts,
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.as_json(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.as_json(), indent=2, sort_keys=True, default=_encode) + "\n"

@@ -166,14 +166,14 @@ class ExtTable(Value):
     def as_json(self) -> dict:
         rows = []
         for l, entries in self.rows:
-            terms = [{"bundle": t.literal(), "cohomology": c.as_json()} for t, c in entries]
+            terms = [{"bundle": t.literal(), "cohomology": c} for t, c in entries]
             rows.append({"level": l, "terms": terms})
         return {
             "model": self.model.name,
             "cutoff": self.cutoff,
-            "certificate": None if self.certificate is None else self.certificate.as_json(),
+            "certificate": self.certificate,
             "rows": rows,
-            "by_level_degree": [list(x) for x in self.level_degree_dims()],
+            "by_level_degree": self.level_degree_dims(),
             "by_degree": {str(d): n for d, n in self.degree_totals().items()},
             "any_higher_cohomology": self.any_higher_cohomology,
         }
@@ -222,7 +222,7 @@ class PretiltingReport(Value):
             "ok": self.ok,
             "witnesses": [{"level": l, "bundle": t.literal(), "degree": d, "dim": n}
                           for l, t, d, n in self.witnesses],
-            "cutoff": self.table.certificate.as_json(),
+            "cutoff": self.table.certificate,
         }
 
 

@@ -1,6 +1,10 @@
 """Reference computations the tests share, built from the package's API:
-values that no command of the package asks for."""
+values that no command of the package asks for, the report encoder that
+Report.to_json_text must agree with, and one argv of every leaf command."""
 
+from fractions import Fraction
+
+import grflop.cli
 from grflop.filtered import FilteredBundle
 from grflop.homog import (GR25, BundleSum, HomogeneousBundle, degree_totals,
                           line_bundle, schur_sub_dual)
@@ -77,3 +81,51 @@ def serialize_set_file(sets):
         lines.append(f"[{name}]")
         lines.extend(t.literal() for t in s.terms)
     return "\n".join(lines) + "\n"
+
+
+def encode_value(x):
+    """Reference encoder of report payloads: the JSON tree that
+    Report.to_json_text writes, built by one recursive walk."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, dict):
+        return {str(k): encode_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [encode_value(v) for v in x]
+    if isinstance(x, (str, int, float, bool)) or x is None:
+        return x
+    as_json = getattr(x, "as_json", None)
+    if callable(as_json):
+        return encode_value(as_json())
+    raise TypeError(f"cannot encode {type(x).__name__} into a report")
+
+
+def command_argvs(tmp):
+    """verify-all and each leaf command once, in the order of cli.COMMANDS,
+    with --twists, --sets and --json PATH among them; the set file is
+    written under the directory `tmp`."""
+    sets = tmp / "sets.txt"
+    sets.write_text("[mine]\ngr(3,5) u=[1,0,0] q=[0,0]\ngr(3,5) u=[0,0,0] q=[0,0] mult=2\n")
+    report = str(tmp / "report.json")
+    argvs = [
+        ["lr", "mult", "2,1", "2,1"],
+        ["lr", "coeff", "3,2,1", "2,1", "2,1"],
+        ["weyl", "dim", "2,1,0", "3"],
+        ["bwb", "cohom", "gr(2,5)", "u=[0,0]", "q=[3,3,3]"],
+        ["ext-total", "--model", "xplus", "--left", "mine", "--right", "mine",
+         "--sets", str(sets), "--json", report],
+        ["tilting", "check", "--window", "spade"],
+        ["suite", "minus-vanishing"],
+        ["euler", "compare", "--star", "heart", "--max-l", "2"],
+        ["windows", "enumerate", "--side", "plus", "--w=-7,-4,-1"],
+        ["windows", "member", "--chi", "1,1,0", "--side", "minus", "--w=-7,-5,-2"],
+        ["kn", "solve", "--character", "minus", "--support", "q2,q3"],
+        ["kn", "strata", "--side", "minus"],
+        ["collections", "check", "--name", "prop31-1"],
+        ["collections", "resolve", "--name", "lascoux-1", "--twists=-2..2"],
+        ["verify-all", "--json", report],
+    ]
+    words = [row[0] for row in grflop.cli.COMMANDS]
+    assert [tuple(a[:len(w)]) for a, w in zip(argvs, words)] == words
+    assert len(argvs) == len(words)
+    return argvs

@@ -204,7 +204,7 @@ class TestCriterion9PropertySuites:
 
 _WORK_COUNTS = """
 import json
-from grflop import filtered, homog, partitions, stability, total_space, verify
+from grflop import homog, partitions, stability, total_space, verify
 calls = {}
 
 def counted(owner, name):
@@ -221,7 +221,7 @@ counted(homog, "bott")
 counted(homog.HomogeneousBundle, "__init__")
 counted(verify, "hl_enumerate")
 verify.verify_all()
-memos = (total_space._ext_row, filtered._level_euler, partitions._gl_tensor,
+memos = (total_space._ext_row, partitions._gl_tensor,
          homog._bott, stability._slot2_members, partitions.pieri,
          total_space._term_euler, total_space._product)
 counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
@@ -239,10 +239,6 @@ def test_verify_all_work_counts():
       27 hits are every row of club and diamond (5 + 4, equal to spade's and
       heart's) and the 18 rows of the four windows' pretilting tables that
       euler_cross_check reads its witnesses from.
-    - _level_euler: spade and heart compute 128 levels (shift sum, level),
-      and club and diamond none: the minus values are memoized once per
-      window and its dual (_window_euler).  Before, club and diamond built
-      the same shift sums again and hit all 128 levels.
     - _gl_tensor, _bott and the window ranges: 1, 251 and 22 distinct inputs
       (107 and 771 before one-row blocks took Pieri's rule and the Euler
       step stopped building rows).
@@ -270,7 +266,6 @@ def test_verify_all_work_counts():
                          capture_output=True, text=True, timeout=300).stdout
     counts = json.loads(out)
     assert counts["_ext_row"] == [27, 40]
-    assert counts["_level_euler"] == [0, 128]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
         [1, 251, 22]
     assert [counts[name] for name in ("pieri", "_term_euler", "_product")] == \

@@ -24,11 +24,11 @@ from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE
                         main)
 from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
                           _block_tensor, structure_sheaf)
-from grflop.report import Report, encode_value
+from grflop.report import Report
 from grflop.stability import ConeProblem, kn_adapted
-from grflop.total_space import MODELS, XPLUS, _product, ext_table, stable_cutoff
+from grflop.total_space import MODELS, XPLUS, ExtTable, _product, ext_table, stable_cutoff
 from grflop.verify import verify_all
-from helpers import serialize_set_file
+from helpers import command_argvs, encode_value, serialize_set_file
 
 
 class TestBundleLiterals:
@@ -536,7 +536,7 @@ class TestExitCodes:
         kn = checks[f"kn-{record['character']}-{'_'.join(record['supports'])}"]
         assert kn["status"] == "fail"
         solved = kn_adapted(ConeProblem(record["supports"], record["character"]))
-        assert kn["payload"]["got"] == encode_value(solved)
+        assert kn["payload"]["got"] == solved
         assert solved.value_sq != 99
 
         capsys.readouterr()
@@ -584,7 +584,7 @@ class TestCommands:
             c = parse_bundle(term["bundle"]).cohomology()
             expected = {"acyclic": True} if c.is_acyclic else \
                 {"acyclic": False, "degree": c.degree, "weight": list(c.weight), "dim": c.dim}
-            assert term["cohomology"] == expected == encode_value(c.as_json())
+            assert term["cohomology"] == expected == encode_value(c)
             seen.add(c.is_acyclic)
         assert seen == {True, False}
 
@@ -620,6 +620,25 @@ class TestCommands:
 
     def test_euler_compare(self, capsys):
         assert main(["euler", "compare", "--star", "spade", "--max-l", "2"]) == EXIT_OK
+
+
+class _AsJson:
+    """A payload object that encodes as the tree it holds."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def as_json(self):
+        return self.tree
+
+
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.fractions(max_denominator=50),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+                   | st.builds(_AsJson, inner)),
+    max_leaves=12)
 
 
 class TestReports:
@@ -691,6 +710,43 @@ class TestReports:
             return report.to_json_text()
 
         assert render() == render()
+
+    @given(st.lists(st.tuples(st.text(max_size=8), st.sampled_from(["pass", "fail", "info"]),
+                              _PAYLOADS), max_size=4),
+           st.dictionaries(st.text(max_size=8), _PAYLOADS, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_single_pass_matches_reference(self, checks, echo):
+        """to_json_text writes what encoding each payload first, then dumping
+        the tree with sorted keys, writes."""
+        report = Report("probe", echo)
+        for check_id, status, payload in checks:
+            report.add(check_id, status, payload)
+        reference = json.dumps(encode_value(report.as_json()), indent=2, sort_keys=True) + "\n"
+        assert report.to_json_text() == reference
+
+    def test_ext_total_encodes_only_for_json(self, tmp_path, monkeypatch, capsys):
+        """The table becomes JSON when the report is written, and not before."""
+        calls = []
+        as_json = ExtTable.as_json
+        monkeypatch.setattr(ExtTable, "as_json", lambda self: calls.append(1) or as_json(self))
+        argv = ["ext-total", "--model", "xplus", "--left", "spade", "--right", "spade"]
+        assert main(argv) == EXIT_OK
+        assert calls == []
+        assert main(argv + ["--json", str(tmp_path / "ext.json")]) == EXIT_OK
+        assert calls == [1]
+
+    @pytest.mark.parametrize("words", [words for words, _, specs, _ in grflop.cli.COMMANDS
+                                       if any("--json" in flags for flags, _ in specs)],
+                             ids=" ".join)
+    def test_json_is_canonical(self, words, tmp_path, capsys):
+        """Every command with --json writes the file that json.dumps with
+        indent 2 and sorted keys writes of its contents."""
+        argv = next(a for a in command_argvs(tmp_path) if tuple(a[:len(words)]) == words)
+        if "--json" not in argv:
+            argv += ["--json", str(tmp_path / "report.json")]
+        assert main(argv) == EXIT_OK
+        text = Path(argv[argv.index("--json") + 1]).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------- argv fuzzer

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import grflop
-import grflop.cli
+from helpers import command_argvs
 
 PACKAGE = Path(grflop.__file__).resolve().parent
 
@@ -45,36 +45,6 @@ sys.__stdout__.write(json.dumps(sorted(reached)))
 """
 
 
-def _argvs(tmp: Path) -> list:
-    """verify-all and each leaf command once, with --twists, --sets and
-    --json PATH among them."""
-    sets = tmp / "sets.txt"
-    sets.write_text("[mine]\ngr(3,5) u=[1,0,0] q=[0,0]\ngr(3,5) u=[0,0,0] q=[0,0] mult=2\n")
-    report = str(tmp / "report.json")
-    argvs = [
-        ["lr", "mult", "2,1", "2,1"],
-        ["lr", "coeff", "3,2,1", "2,1", "2,1"],
-        ["weyl", "dim", "2,1,0", "3"],
-        ["bwb", "cohom", "gr(2,5)", "u=[0,0]", "q=[3,3,3]"],
-        ["ext-total", "--model", "xplus", "--left", "mine", "--right", "mine",
-         "--sets", str(sets), "--json", report],
-        ["tilting", "check", "--window", "spade"],
-        ["suite", "minus-vanishing"],
-        ["euler", "compare", "--star", "heart", "--max-l", "2"],
-        ["windows", "enumerate", "--side", "plus", "--w=-7,-4,-1"],
-        ["windows", "member", "--chi", "1,1,0", "--side", "minus", "--w=-7,-5,-2"],
-        ["kn", "solve", "--character", "minus", "--support", "q2,q3"],
-        ["kn", "strata", "--side", "minus"],
-        ["collections", "check", "--name", "prop31-1"],
-        ["collections", "resolve", "--name", "lascoux-1", "--twists=-2..2"],
-        ["verify-all", "--json", report],
-    ]
-    words = [row[0] for row in grflop.cli.COMMANDS]
-    assert [tuple(a[:len(w)]) for a, w in zip(argvs, words)] == words
-    assert len(argvs) == len(words)
-    return argvs
-
-
 def _defined() -> dict:
     """(file, first line) -> "module:qualname" for every function defined in
     the package, nested ones included; a decorated function's code starts at
@@ -100,7 +70,7 @@ def _defined() -> dict:
 def test_every_function_is_reached(tmp_path):
     src = str(PACKAGE.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _PROFILE, json.dumps(_argvs(tmp_path))],
+    out = subprocess.run([sys.executable, "-c", _PROFILE, json.dumps(command_argvs(tmp_path))],
                          env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
                          capture_output=True, text=True, timeout=300).stdout
     reached = {(str(Path(f).resolve()), line) for f, line in json.loads(out)}

@@ -10,7 +10,7 @@ from grflop.homog import (GR25, GR35, BundleSum, HomogeneousBundle, line_bundle,
 from grflop.total_space import (MODELS, XMINUS, XPLUS, TotalSpaceModel, euler_sum,
                                 ext_table, is_pretilting, stable_cutoff)
 from grflop.verify import verify_all
-from helpers import hom_dim, signed_dim, signed_euler
+from helpers import encode_value, hom_dim, signed_dim, signed_euler
 
 
 class TestPushforwardTerms:
@@ -94,7 +94,7 @@ class TestExtTable:
 
     def test_json_shape(self):
         table = ext_table(XMINUS, structure_sheaf(GR25), line_bundle(GR25, -4), "auto")
-        payload = table.as_json()
+        payload = encode_value(table)
         assert payload["any_higher_cohomology"] is False
         assert payload["certificate"]["l0"] == table.cutoff
 
@@ -181,8 +181,7 @@ class TestTally:
         self-Ext product, the same one stable_cutoff gives."""
         checks = {c["id"]: c for c in verify_all().checks}
         t = data.window_sum_plus("spade")
-        assert checks["cutoff-spade-equals-4"]["payload"] == \
-            stable_cutoff(XPLUS, t, t).as_json()
+        assert checks["cutoff-spade-equals-4"]["payload"] == stable_cutoff(XPLUS, t, t)
 
 
 class TestRowMemo:
