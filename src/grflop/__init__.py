@@ -10,8 +10,7 @@ from .homog import (BundleSum, Cohomology, FlagVariety, GR25, GR35, FL235,
 from .partitions import gl_tensor, lr_coefficient, lr_mult, weyl_dim
 from .total_space import (XMINUS, XPLUS, TotalSpaceModel, ext_table,
                           is_pretilting, stable_cutoff)
-from .filtered import (FilteredBundle, graded_euler, schur_filtered,
-                       vanishing_suite, window_bundle)
+from .filtered import FilteredBundle, graded_euler, schur_filtered, vanishing_suite
 from .stability import (ConeProblem, KNSolution, hl_enumerate, hl_membership,
                         kn_adapted, kn_stratification)
 from .exceptional import (ExceptionalCollection, ResolutionSequence,
@@ -27,5 +26,5 @@ __all__ = [
     "graded_euler", "hl_enumerate", "hl_membership", "is_pretilting",
     "kn_adapted", "kn_stratification", "line_bundle", "lr_coefficient",
     "lr_mult", "schur_filtered", "schur_sub_dual", "stable_cutoff",
-    "structure_sheaf", "vanishing_suite", "weyl_dim", "window_bundle",
+    "structure_sheaf", "vanishing_suite", "weyl_dim",
 ]

@@ -291,11 +291,11 @@ def _cmd_kn_solve(args) -> Report:
 
 def _cmd_kn_strata(args) -> Report:
     report = Report("kn strata", {"side": args.side})
-    try:
-        strata = kn_stratification(args.side)
-    except AssertionError as exc:
-        report.add("strata", "fail", {"error": str(exc)})
-        print(f"FAIL: {exc}")
+    strata = kn_stratification(args.side)
+    error = next((s.error for s in strata if s.error), None)
+    if error:
+        report.add("strata", "fail", {"error": error})
+        print(f"FAIL: {error}")
         return report
     for s in strata:
         print(f"M^2 = {s.value_sq}, weight {list(s.weight)}  ({s.description})")

@@ -116,7 +116,8 @@ HL_EXPECTED = {
 
 
 # Group-level Kempf-Ness strata.  Supports name the torus weights that stay
-# active on the stratum; every record is revalidated through the exact solver.
+# active on the stratum; stability.kn_stratification checks every record
+# against the exact solver.
 KN_STRATA = {
     "plus": (
         {"description": "matrix block vanishes",
@@ -145,6 +146,7 @@ KN_STRATA = {
 # A torus-level stratum absorbed into a group stratum on the minus side: its
 # ray does not appear in KN_STRATA["minus"].
 KN_ABSORBED_MINUS = {
+    "description": "torus stratum absorbed into the kernel of dimension one",
     "supports": ("q2", "q3"), "character": "minus",
     "value_sq": (1, 17), "weight": (3, -2, -2),
 }

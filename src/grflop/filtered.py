@@ -74,22 +74,6 @@ def schur_filtered(chi: Iterable[int]) -> FilteredBundle:
     return FilteredBundle(pieces, tuple(a - t for a, _, _ in graded), f"S^{list(chi)}[ext]")
 
 
-def window_bundle(side: str, star: str):
-    """Materialize a window bundle from its ten generating weights.
-
-    The plus side returns a sum of Schur powers of the dual tautological
-    subbundle on Gr(3,5); the minus side returns the corresponding Schur
-    powers of the core extension as filtered bundles.
-    """
-    if star not in data.WINDOW_WEIGHTS:
-        raise ValueError(f"unknown window {star!r}; valid: {', '.join(data.WINDOW_WEIGHTS)}")
-    if side == "plus":
-        return data.window_sum_plus(star)
-    if side == "minus":
-        return tuple(schur_filtered(chi) for chi in data.WINDOW_WEIGHTS[star])
-    raise ValueError("side must be 'plus' or 'minus'")
-
-
 def _as_pieces(x) -> list[tuple[BundleSum, int]]:
     """Flatten bundles, sums, filtered bundles or sequences thereof into
     (piece, offset) pairs."""
@@ -217,7 +201,9 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     self-Ext at levels 0..max_l is read from the pretilting table, whose
     certificate covers every level past its last row.
     """
-    plus = window_bundle("plus", star)  # refuses an unknown star
+    if star not in data.WINDOW_WEIGHTS:
+        raise ValueError(f"unknown window {star!r}; valid: {', '.join(data.WINDOW_WEIGHTS)}")
+    plus = data.window_sum_plus(star)
     chi = _window_euler(_dual_key(data.WINDOW_WEIGHTS[star]), max_l)
     product = _product(XPLUS, plus, plus)
     plus_values = tuple(euler_sum(XPLUS, product, l) for l in range(max_l + 1))

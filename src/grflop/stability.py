@@ -314,9 +314,21 @@ def kn_adapted(problem: ConeProblem) -> KNSolution:
 
 
 class Stratum(Value):
-    """One Kempf-Ness stratum at the group level, with its defining cone problem."""
+    """One curated Kempf-Ness stratum at the group level: its defining cone
+    problem, the recorded value and ray, and kn_adapted's solution."""
 
-    __slots__ = ("side", "description", "problem", "value_sq", "weight")
+    __slots__ = ("side", "description", "problem", "value_sq", "weight", "solution")
+
+    @property
+    def error(self) -> str | None:
+        """None when the solution is the recorded value and ray, else the
+        message naming both."""
+        solved = self.solution
+        if solved.value_sq == self.value_sq and solved.minimizer == self.weight:
+            return None
+        return (f"stratum {self.description!r} failed validation: "
+                f"solver gave ({solved.value_sq}, {solved.minimizer}), "
+                f"expected ({self.value_sq}, {self.weight})")
 
     def as_json(self) -> dict:
         return {
@@ -329,32 +341,22 @@ class Stratum(Value):
         }
 
 
-def kn_stratification(side: str,
-                      solutions: Sequence[KNSolution] | None = None) -> tuple[Stratum, ...]:
-    """The curated group-level strata, each revalidated through kn_adapted.
+def _stratum(side: str, record: dict) -> Stratum:
+    """A curated record (of data.KN_STRATA, or data.KN_ABSORBED_MINUS) as a
+    Stratum, solved once through kn_adapted."""
+    problem = ConeProblem(record["supports"], record["character"])
+    return Stratum(side, record["description"], problem, Fraction(*record["value_sq"]),
+                   tuple(record["weight"]), kn_adapted(problem))
 
-    ``solutions`` holds kn_adapted's answer for each record of
-    ``data.KN_STRATA[side]``, in order, from a caller that has solved them
-    already; without it each record is solved here.  The torus-level stratum
+
+def kn_stratification(side: str) -> tuple[Stratum, ...]:
+    """The curated group-level strata of a side, each solved once through
+    kn_adapted.  A record the solver disagrees with is returned like the
+    others, with its error set; nothing is raised.  The torus-level stratum
     with ray (3,-2,-2) on the minus side is absorbed into the (1,0,-2) group
     stratum and is deliberately not listed.
     """
     from . import data
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    records = data.KN_STRATA[side]
-    problems = [ConeProblem(record["supports"], record["character"]) for record in records]
-    if solutions is None:
-        solutions = [kn_adapted(problem) for problem in problems]
-    out = []
-    for record, problem, solved in zip(records, problems, solutions):
-        expected_sq = Fraction(*record["value_sq"])
-        expected_ray = tuple(record["weight"])
-        if solved.value_sq != expected_sq or solved.minimizer != expected_ray:
-            raise AssertionError(
-                f"stratum {record['description']!r} failed validation: "
-                f"solver gave ({solved.value_sq}, {solved.minimizer}), "
-                f"expected ({expected_sq}, {expected_ray})")
-        out.append(Stratum(side, record["description"], problem,
-                           expected_sq, expected_ray))
-    return tuple(out)
+    return tuple(_stratum(side, record) for record in data.KN_STRATA[side])

@@ -11,16 +11,13 @@ graded Euler comparison, and report determinism.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import data
 from .exceptional import (ExceptionalCollection, builtin_collection,
                           builtin_resolution, check_collection, check_resolution)
 from .filtered import euler_cross_check, vanishing_suite
 from .homog import GR25, line_bundle, structure_sheaf
 from .report import Report
-from .stability import (ConeProblem, hl_enumerate, hl_max_size, kn_adapted,
-                        kn_stratification)
+from .stability import _stratum, hl_enumerate, hl_max_size, kn_stratification
 from .total_space import XPLUS, is_pretilting
 
 
@@ -71,23 +68,18 @@ def _check_windows(report: Report) -> None:
 
 
 def _check_kempf_ness(report: Report) -> None:
-    records = [(side, rec) for side in ("plus", "minus") for rec in data.KN_STRATA[side]]
-    records.append(("absorbed", data.KN_ABSORBED_MINUS))
-    solved: dict[str, list] = {}
-    for side, rec in records:
-        value_sq, ray = Fraction(*rec["value_sq"]), tuple(rec["weight"])
-        sol = kn_adapted(ConeProblem(rec["supports"], rec["character"]))
-        solved.setdefault(side, []).append(sol)
+    strata = {side: kn_stratification(side) for side in ("plus", "minus")}
+    absorbed = _stratum("minus", data.KN_ABSORBED_MINUS)
+    for s in (*strata["plus"], *strata["minus"], absorbed):
         report.add_bool(
-            f"kn-{rec['character']}-{'_'.join(rec['supports'])}",
-            sol.value_sq == value_sq and sol.minimizer == ray,
-            {"expected_value_sq": value_sq, "expected_ray": ray, "got": sol})
-    for side in ("plus", "minus"):
-        try:
-            strata = kn_stratification(side, solved[side])
-            report.add(f"kn-strata-{side}", "pass", {"strata": strata})
-        except AssertionError as exc:
-            report.add(f"kn-strata-{side}", "fail", {"error": str(exc)})
+            f"kn-{s.problem.character}-{'_'.join(s.problem.supports)}", s.error is None,
+            {"expected_value_sq": s.value_sq, "expected_ray": s.weight, "got": s.solution})
+    for side, found in strata.items():
+        error = next((s.error for s in found if s.error), None)
+        if error is None:
+            report.add(f"kn-strata-{side}", "pass", {"strata": found})
+        else:
+            report.add(f"kn-strata-{side}", "fail", {"error": error})
 
 
 def _check_euler(report: Report) -> None:

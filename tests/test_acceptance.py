@@ -220,6 +220,7 @@ counted(homog, "pieri")
 counted(homog, "bott")
 counted(homog.HomogeneousBundle, "__init__")
 counted(verify, "hl_enumerate")
+counted(stability, "kn_adapted")
 verify.verify_all()
 memos = (total_space._ext_row, partitions._gl_tensor,
          homog._bott, stability._slot2_members, partitions.pieri,
@@ -258,6 +259,9 @@ def test_verify_all_work_counts():
       sums of spade and heart; 555 before term(l) built through _trusted
       and euler_cross_check built each plus window once; 1,132 before dual()
       built through _trusted).
+    - stability.kn_adapted is called 7 times, once per curated Kempf-Ness
+      record: six strata and the absorbed one (13 if each stratum were
+      solved again to judge it).
     """
     src = str(Path(grflop.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -273,6 +277,7 @@ def test_verify_all_work_counts():
     assert counts["maxsize"] == [4096, 4096, 256]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
             counts["grflop.verify.hl_enumerate"]] == [2, 965, 3]
+    assert counts["grflop.stability.kn_adapted"] == 7
     assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [1420, 306]
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from grflop import filtered
 from grflop.filtered import (FilteredBundle, _as_pieces, _shift_sums, euler_cross_check,
-                             graded_euler, schur_filtered, vanishing_suite,
-                             window_bundle)
+                             graded_euler, schur_filtered, vanishing_suite)
 from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
                           structure_sheaf)
 from grflop.partitions import weyl_dim
@@ -13,6 +12,11 @@ from grflop.total_space import XMINUS, XPLUS, ext_table, is_pretilting
 from grflop.verify import verify_all
 from grflop import data
 from helpers import core_extension, dual, rank, refined, signed_dim, signed_euler
+
+
+def minus_window(star):
+    """The minus window of a star: the core extension's Schur powers of its weights."""
+    return [schur_filtered(chi) for chi in data.WINDOW_WEIGHTS[star]]
 
 
 def piece_blocks(fb):
@@ -167,7 +171,7 @@ class TestGradedEulerOracle:
 
     @pytest.mark.parametrize("star", data.WINDOW_NAMES)
     def test_minus_windows(self, star):
-        minus = list(window_bundle("minus", star))
+        minus = minus_window(star)
         assert graded_euler(minus, minus, 8) == \
             graded_euler_per_pair(minus, minus, 8)
 
@@ -195,8 +199,8 @@ class TestLevelEulerMemo:
     def test_dual_windows_share_shift_sums(self, star, partner):
         """club and diamond are the duals of spade and heart, so their minus
         shift sums S_d are equal; the values equal the per-pair reference."""
-        t = list(window_bundle("minus", star))
-        u = list(window_bundle("minus", partner))
+        t = minus_window(star)
+        u = minus_window(partner)
         assert _shift_sums(u, u) == _shift_sums(t, t)
         assert graded_euler(t, t, 8) == graded_euler(u, u, 8) == graded_euler_per_pair(u, u, 8)
 
@@ -204,7 +208,7 @@ class TestLevelEulerMemo:
         """The pieces of each side are merged by offset before the products
         are taken: heart's 17 pieces carry the four offsets -1..2, so its
         self-Ext takes 16 products, not 289."""
-        minus = list(window_bundle("minus", "heart"))
+        minus = minus_window("heart")
         assert len(_as_pieces(minus)) == 17
         assert {o for _, o in _as_pieces(minus)} == {-1, 0, 1, 2}
         calls = []
@@ -233,24 +237,25 @@ class TestLevelEulerMemo:
 
 class TestWindowBundles:
     def test_plus_spade_terms(self):
-        terms = {t.blocks[0] for t in window_bundle("plus", "spade")}
+        terms = {t.blocks[0] for t in data.window_sum_plus("spade")}
         assert terms == set(data.WINDOW_WEIGHTS["spade"])
 
     def test_minus_returns_filtered(self):
-        bundles = window_bundle("minus", "spade")
+        bundles = minus_window("spade")
         assert len(bundles) == 10
         assert all(isinstance(b, FilteredBundle) for b in bundles)
         assert sum(rank(b) for b in bundles) == \
             data.window_sum_plus("spade").rank()
 
     def test_club_is_termwise_dual_of_spade(self):
-        spade = window_bundle("plus", "spade")
-        club = window_bundle("plus", "club")
+        spade = data.window_sum_plus("spade")
+        club = data.window_sum_plus("club")
         assert club == spade.dual()
 
     def test_unknown_window(self):
-        with pytest.raises(ValueError):
-            window_bundle("plus", "joker")
+        with pytest.raises(ValueError, match="^unknown window 'joker'; valid: "
+                                             "spade, heart, club, diamond$"):
+            euler_cross_check("joker")
 
 
 class TestCrossSide:

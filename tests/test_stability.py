@@ -243,6 +243,28 @@ class TestKempfNess:
         minus = kn_stratification("minus")
         assert (3, -2, -2) not in {s.weight for s in minus}
 
+    def test_failed_record_is_returned_not_raised(self, monkeypatch):
+        """A record the solver disagrees with comes back with the others,
+        its error naming both answers; the rest keep error None."""
+        corrupted = [dict(r) for r in data.KN_STRATA["minus"]]
+        corrupted[1]["weight"] = (1, 1, -3)
+        monkeypatch.setitem(data.KN_STRATA, "minus", corrupted)
+        minus = kn_stratification("minus")
+        assert len(minus) == 3
+        assert [s.error for s in minus[::2]] == [None, None]
+        assert minus[1].error == (
+            "stratum 'common kernel of dimension two' failed validation: "
+            "solver gave (2/9, (1, 1, -4)), expected (2/9, (1, 1, -3))")
+        assert minus[1].solution == kn_adapted(minus[1].problem)
+
+    def test_records_have_sorted_distinct_supports(self):
+        """verify's kn-* check ids join ConeProblem.supports, which sorts and
+        deduplicates; they read as the records' own tuples only while those
+        are sorted and distinct."""
+        for record in (*data.KN_STRATA["plus"], *data.KN_STRATA["minus"],
+                       data.KN_ABSORBED_MINUS):
+            assert list(record["supports"]) == sorted(set(record["supports"]))
+
 
 def _solve_raw(constraints, character):
     """Drive the solver with a nonstandard character, via a thin shim."""

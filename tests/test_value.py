@@ -6,9 +6,11 @@ import importlib.util
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -57,9 +59,12 @@ def test_cli_import_leaves_dataclasses_out():
     assert frozen > 0
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def _load_perfbench(name):
     """A perfbench script, loaded by path (perfbench is not a package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    path = PERFBENCH / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses looks its module up there
@@ -81,6 +86,26 @@ def test_benchmark_hook_names_resolve():
     for entry in cuts.CUT_POINTS:
         module, name = entry.split(".")
         assert callable(getattr(sys.modules[f"grflop.{module}"], name))
+
+
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN["cli_queries"], key=int))
+def test_cli_queries_match_golden(seed, tmp_path, monkeypatch):
+    """The first 120 cli_queries ops of each recorded seed, run in process,
+    print what golden.json recorded: a change to a command's output bytes
+    fails here, not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports cuts
+    workloads = _load_perfbench("workloads")
+    workloads.import_program()
+    runner = workloads.OpRunner(workloads.WORKLOADS["cli_queries"], int(seed),
+                                in_process=True, scratch=tmp_path)
+    assert len(runner.golden) == 120
+    ops = islice(runner.workload.inputs(random.Random(int(seed))), 120)
+    for index, op in enumerate(ops):
+        ok, dig = runner.check(index, op, runner.execute(op))
+        assert (ok, dig) == (True, runner.golden[index]), (index, op)
 
 
 B = HomogeneousBundle(GR35, ((2, 1, 0), (0, 0)), 2)
@@ -107,7 +132,8 @@ FACTORIES = {
     ConeProblem: lambda: ConeProblem(("q2", "q1", "q2"), "minus"),
     KNSolution: lambda: kn_adapted(ConeProblem(("q3",), "minus")),
     Stratum: lambda: Stratum("plus", "probe", ConeProblem(("q1",), "plus"),
-                             Fraction(2, 9), (1, 1, -4)),
+                             Fraction(2, 9), (1, 1, -4),
+                             kn_adapted(ConeProblem(("q1",), "plus"))),
 }
 
 
