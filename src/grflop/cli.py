@@ -52,10 +52,10 @@ LEVEL_MAX = 100
 SUMMANDS_MAX = 4096
 # Rows 0..N are the product against term(0..N), refused past this
 # _summand_bound of the two, so `--cutoff N` and `auto` at l0 = N decide
-# alike.  Whole processes, text (`--json -`): heart against kapranov at 100,
-# the built-in top, 14,397, 0.2 s (0.6 s); o against u=[50,0,-50] at auto
-# 23,426, 0.5 s (1.3 s); o against u=[8,0,-38] at 100, the slowest found,
-# 29,601, 0.5 s (1.6 s).  A limit admitting u=[16,8,0] against itself
+# alike.  Whole processes, text (`--json -`), best of 5 on a 2-vCPU VM:
+# heart against kapranov at 100, the built-in top, 14,397, 0.2 s (0.3 s);
+# o against u=[50,0,-50] at auto 23,426, 0.4 s (0.75 s); o against
+# u=[8,0,-38] at 100, the slowest found, 29,601, 0.7 s (1.0 s).  A limit admitting u=[16,8,0] against itself
 # (96,609; 0.44 s in process) admits o against u=[90,70,0] at 100 (97,797;
 # 2.2 s), near the refused o against u=[100,50,0] at 100 (140,226; 3.1 s).
 TABLE_SUMMANDS_MAX = 30000
@@ -227,7 +227,7 @@ def _cmd_tilting(args) -> Report:
     result = is_pretilting(MODELS[args.model], data.window_sum_plus(args.window))
     status = "pretilting" if result.ok else "NOT pretilting"
     print(f"window {args.window} on {args.model}: {status} "
-          f"(certified cutoff {result.table.cutoff})")
+          f"(certified cutoff {result.certificate.l0})")
     for level, bundle, degree, dim in result.witnesses:
         print(f"  witness: level {level}, {bundle.literal()}, degree {degree}, dim {dim}")
     report = Report("tilting check", {"model": args.model, "window": args.window})

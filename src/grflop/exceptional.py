@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from . import data
@@ -57,8 +58,28 @@ class CollectionReport(Value):
 
 def ext_groups(source: HomogeneousBundle, target: HomogeneousBundle
                ) -> dict[int, int]:
-    """Nonzero Ext dimensions between two bundles, by degree."""
-    return degree_totals(source.dual().tensor(target).cohomology())
+    """Nonzero Ext dimensions between two bundles, by degree.
+
+    Memoized up to a common twist: dual(E (x) L) (x) (F (x) L) = dual(E) (x) F
+    for the determinant L of any block, so the pair is keyed with every block
+    of both shifted by the last entry of the source's block.
+    """
+    if source.space != target.space:
+        raise ValueError("cannot tensor bundles on different spaces")
+    shifts = [b[-1] for b in source.blocks] * 2
+    key = tuple([tuple([x - c for x in b])
+                 for b, c in zip(source.blocks + target.blocks, shifts)])
+    return dict(_ext_groups(source.space, key, source.mult, target.mult))
+
+
+@lru_cache(maxsize=1024)
+def _ext_groups(space: FlagVariety, blocks: tuple, source_mult: int,
+                target_mult: int) -> dict[int, int]:
+    """ext_groups of the bundles whose blocks are the halves of `blocks`."""
+    k = len(blocks) // 2
+    e = HomogeneousBundle._trusted(space, blocks[:k], source_mult)
+    f = HomogeneousBundle._trusted(space, blocks[k:], target_mult)
+    return degree_totals(e.dual().tensor(f).cohomology())
 
 
 def check_collection(coll: ExceptionalCollection) -> CollectionReport:

@@ -23,10 +23,10 @@ from typing import Iterable, Sequence
 
 from . import data
 from .exceptional import ext_groups
-from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, as_sum,
+from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _tensor_into, as_sum,
                     line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
-from .total_space import XMINUS, XPLUS, _product, euler_sum, ext_table, is_pretilting
+from .total_space import XMINUS, XPLUS, _higher_ext, _product, euler_sum
 from .value import Value
 
 
@@ -107,19 +107,20 @@ def graded_euler(left, right, max_l: int = 8) -> tuple[int, ...]:
 def _shift_sums(left, right) -> dict[int, BundleSum]:
     """S_d, the sum of dual(p) (x) q over source pieces p (offset op) and
     target pieces q (offset oq) with oq - op = d.  The pieces of each side are
-    merged by offset first, so one product is taken per offset pair."""
+    merged by offset first, so one product is taken per offset pair, and the
+    products of a shift merge into one table, canonicalized once."""
     lhs = _as_pieces(left)
     rhs = _as_pieces(right)
     for p, _ in lhs + rhs:
         if p.space != GR25:
             raise ValueError(f"pieces must live on {GR25}")
     targets = _by_offset(rhs).items()
-    by_shift: dict[int, list[HomogeneousBundle]] = {}
+    by_shift: dict[int, dict] = {}
     for op, p in _by_offset(lhs).items():
-        dual = p.dual()
+        dual = p.dual().terms
         for oq, q in targets:
-            by_shift.setdefault(oq - op, []).extend(dual.tensor(q).terms)
-    return {d: BundleSum.of(GR25, terms) for d, terms in by_shift.items()}
+            _tensor_into(by_shift.setdefault(oq - op, {}), dual, q.terms)
+    return {d: BundleSum._canonical(GR25, table) for d, table in by_shift.items()}
 
 
 def _by_offset(pieces: list[tuple[BundleSum, int]]) -> dict[int, BundleSum]:
@@ -174,9 +175,9 @@ def vanishing_suite() -> tuple[SuiteItem, ...]:
                  sym2, sym2))
     items: list[SuiteItem] = []
     for check_id, description, left, right in rows:
-        table = ext_table(XMINUS, left, right, cutoff="auto")
-        items.append(SuiteItem(check_id, description, not table.any_higher_cohomology,
-                               {"l0": table.cutoff}))
+        certificate, witnesses = _higher_ext(XMINUS, _product(XMINUS, left, right))
+        items.append(SuiteItem(check_id, description, not witnesses,
+                               {"l0": certificate.l0}))
 
     for i, (src, tgt, label) in enumerate(data.GR35_ORTHOGONAL_PAIRS, start=1):
         source = schur_sub_dual(GR35, src)
@@ -198,8 +199,8 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     The plus side has no higher self-Ext, so its alternating sums equal the
     graded Hom dimensions level by level; the minus-side filtration-additive
     Euler characteristics must match them exactly.  Whether it has higher
-    self-Ext at levels 0..max_l is read from the pretilting table, whose
-    certificate covers every level past its last row.
+    self-Ext at levels 0..max_l is read from the pretilting witnesses, whose
+    certificate covers every level past l0.
     """
     if star not in data.WINDOW_WEIGHTS:
         raise ValueError(f"unknown window {star!r}; valid: {', '.join(data.WINDOW_WEIGHTS)}")
@@ -207,7 +208,7 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     chi = _window_euler(_dual_key(data.WINDOW_WEIGHTS[star]), max_l)
     product = _product(XPLUS, plus, plus)
     plus_values = tuple(euler_sum(XPLUS, product, l) for l in range(max_l + 1))
-    witnesses = is_pretilting(XPLUS, plus).witnesses
+    _, witnesses = _higher_ext(XPLUS, product)
     return {
         "star": star,
         "max_l": max_l,

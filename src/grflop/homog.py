@@ -177,8 +177,7 @@ class HomogeneousBundle(Value):
         return r
 
     def dual(self) -> "HomogeneousBundle":
-        blocks = tuple(tuple(-x for x in reversed(b)) for b in self.blocks)
-        return HomogeneousBundle._trusted(self.space, blocks, self.mult)
+        return HomogeneousBundle._trusted(self.space, _dual_blocks(self.blocks), self.mult)
 
     def with_mult(self, mult: int) -> "HomogeneousBundle":
         return HomogeneousBundle(self.space, self.blocks, mult)
@@ -257,7 +256,9 @@ class BundleSum(Value):
         return sum(t.rank() for t in self.terms)
 
     def dual(self) -> "BundleSum":
-        return BundleSum.of(self.space, [t.dual() for t in self.terms])
+        # Distinct terms have distinct duals: nothing to merge.
+        return BundleSum._canonical(self.space, {_dual_blocks(t.blocks): t.mult
+                                                 for t in self.terms})
 
     def twist(self, a: int, generator: str = "O") -> "BundleSum":
         return BundleSum.of(self.space, [t.twist(a, generator) for t in self.terms])
@@ -268,21 +269,28 @@ class BundleSum(Value):
         if self.space != other.space:
             raise ValueError("cannot tensor sums on different spaces")
         others = (other,) if isinstance(other, HomogeneousBundle) else other.terms
-        sizes = self.space.block_sizes()
-        merged: dict[tuple[Weight, ...], int] = {}
-        for a in self.terms:
-            for b in others:
-                per_block = [_block_tensor(x, y, s)
-                             for x, y, s in zip(a.blocks, b.blocks, sizes)]
-                for combo in product(*per_block):
-                    blocks, coeffs = zip(*combo)
-                    mult = a.mult * b.mult * prod(coeffs)
-                    merged[blocks] = merged.get(blocks, 0) + mult
-        return BundleSum._canonical(self.space, merged)
+        return BundleSum._canonical(self.space, _tensor_into({}, self.terms, others))
 
     def cohomology(self) -> tuple[tuple[HomogeneousBundle, Cohomology], ...]:
         """Bott cohomology per term, in canonical term order."""
         return tuple((t, t.cohomology()) for t in self.terms)
+
+
+def _dual_blocks(blocks: tuple[Weight, ...]) -> tuple[Weight, ...]:
+    return tuple([tuple([-x for x in reversed(b)]) for b in blocks])
+
+
+def _tensor_into(merged: dict, terms, others) -> dict:
+    """Add the summands of sum(terms) (x) sum(others), bundles of one space,
+    to a table mapping blocks to multiplicities, and return it."""
+    for a in terms:
+        for b in others:
+            per_block = [_block_tensor(x, y, len(x)) for x, y in zip(a.blocks, b.blocks)]
+            for combo in product(*per_block):
+                blocks, coeffs = zip(*combo)
+                mult = a.mult * b.mult * prod(coeffs)
+                merged[blocks] = merged.get(blocks, 0) + mult
+    return merged
 
 
 def _block_tensor(x: Weight, y: Weight, m: int):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import lt
 from typing import Iterable, Iterator
 
 Weight = tuple[int, ...]
@@ -19,8 +20,8 @@ Product = tuple[tuple[Weight, int], ...]
 
 def as_weight(entries: Iterable[int]) -> Weight:
     """Coerce to a weakly decreasing tuple of ints, or raise ValueError."""
-    w = tuple(int(x) for x in entries)
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+    w = tuple(map(int, entries))
+    if any(map(lt, w, w[1:])):
         raise ValueError(f"not weakly decreasing: {w}")
     return w
 

@@ -2,14 +2,14 @@
 
 Reports carry no timestamps and are serialized with sorted keys, so identical
 inputs produce byte-identical output.  Payloads stay the values they were
-passed as until the report is written, in one ``json.dumps`` pass: exact
-rationals are encoded as {"num": ..., "den": ...}, weights as arrays of
-integers, and any other object through its ``as_json()``.
+passed as until the report is written, in one pass that writes the bytes
+``json.dumps(indent=2, sort_keys=True)`` would, without importing ``json``:
+exact rationals are encoded as {"num": ..., "den": ...}, weights as arrays
+of integers, and any other object through its ``as_json()``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -19,16 +19,61 @@ FAIL = "fail"
 INFO = "info"
 
 
-def _encode(x):
-    """json.dumps' hook for what json cannot write itself.  json calls it for
-    no subclass of dict, list, tuple, str or int, so no payload class may
-    subclass them."""
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    as_json = getattr(x, "as_json", None)
-    if callable(as_json):
-        return as_json()
-    raise TypeError(f"cannot encode {type(x).__name__} into a report")
+class _Escapes(dict):
+    """json's str.translate table with ensure_ascii, filled on demand: a
+    printable ASCII character stays, the named ones take a backslash, any
+    other a \\uXXXX, or a surrogate pair of them past U+FFFF."""
+
+    def __missing__(self, c):
+        if c > 0xffff:
+            out = self[0xd800 | (c - 0x10000) >> 10] + self[0xdc00 | c & 0x3ff]
+        else:
+            out = chr(c) if 0x20 <= c < 0x7f else "\\u%04x" % c
+        self[c] = out
+        return out
+
+
+_ESCAPES = _Escapes({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _write(x, out: list, pad: str) -> None:
+    """Append to out the text of json.dumps(x, indent=2, sort_keys=True),
+    indented by pad, with a Fraction as {"num": ..., "den": ...} and any
+    other object through its as_json()."""
+    if isinstance(x, str):
+        out.append('"' + x.translate(_ESCAPES) + '"')
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in sorted(x.items()):
+            out.append(sep + '"' + k.translate(_ESCAPES) + '": ')
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(x, Fraction):
+        _write({"num": x.numerator, "den": x.denominator}, out, pad)
+    elif callable(getattr(x, "as_json", None)):
+        _write(x.as_json(), out, pad)
+    else:
+        raise TypeError(f"cannot encode {type(x).__name__} into a report")
 
 
 class Report:
@@ -43,7 +88,7 @@ class Report:
         """Record one check.  The payload is kept as passed and encoded only
         by to_json_text: dicts, lists, tuples, str, int, bool, None, Fraction
         and objects with an as_json() returning such values.  Dict keys must
-        be strings, since json sorts the keys as given."""
+        be strings."""
         if status not in (PASS, FAIL, INFO):
             raise ValueError(f"invalid status {status!r}")
         self.checks.append({
@@ -74,4 +119,7 @@ class Report:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.as_json(), indent=2, sort_keys=True, default=_encode) + "\n"
+        out: list[str] = []
+        _write(self.as_json(), out, "")
+        out.append("\n")
+        return "".join(out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Weight, as_weight
@@ -253,33 +253,32 @@ class KNSolution(Value):
         }
 
 
-def _dot(a, b) -> Fraction:
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+def _dot(a, b) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _project_off(r, vectors):
-    """Orthogonal projection of r onto the common kernel of the given functionals."""
-    basis: list[list[Fraction]] = []
-    for v in vectors:
-        u = [Fraction(x) for x in v]
-        for b in basis:
-            coef = _dot(u, b) / _dot(b, b)
-            u = [x - coef * y for x, y in zip(u, b)]
-        if any(u):
-            basis.append(u)
-    p = [Fraction(x) for x in r]
-    for b in basis:
-        coef = _dot(p, b) / _dot(b, b)
-        p = [x - coef * y for x, y in zip(p, b)]
-    return p
+def _cross(a, b) -> tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
-def _primitive(p) -> tuple[int, int, int]:
-    p = [Fraction(x) for x in p]
-    denom = lcm(*(x.denominator for x in p))
-    ints = [int(x * denom) for x in p]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+def _scaled_projection(r, vectors) -> tuple[tuple[int, int, int], int]:
+    """(s * p, s) for the orthogonal projection p of r onto the common kernel
+    of the given 3-vectors and some s > 0, in integers: r itself with no
+    vector; (v . v) r - (r . v) v when they span the line of v; (r . n) n,
+    for a nonzero cross product n of two of them, when they span a plane;
+    and 0 when they span space."""
+    if not vectors:
+        return tuple(r), 1
+    v = vectors[0]
+    n = next((n for n in (_cross(v, u) for u in vectors[1:]) if any(n)), None)
+    if n is None:
+        vv, rv = _dot(v, v), _dot(r, v)
+        return tuple([vv * x - rv * y for x, y in zip(r, v)]), vv
+    if any(_dot(u, n) for u in vectors):
+        return (0, 0, 0), 1
+    rn = _dot(r, n)
+    return tuple([rn * x for x in n]), _dot(n, n)
 
 
 def kn_adapted(problem: ConeProblem) -> KNSolution:
@@ -291,25 +290,24 @@ def kn_adapted(problem: ConeProblem) -> KNSolution:
     candidates, and the best candidate maximizes the squared projection
     length.  All arithmetic is exact.
     """
-    r = problem.character_vector
-    constraints = problem.constraint_vectors
-    names = problem.supports
+    return _kn_solve(problem.character_vector, problem.constraint_vectors)
+
+
+def _kn_solve(r, constraints) -> KNSolution:
+    """kn_adapted for a character vector r and constraint 3-vectors: the
+    projections in integers (see _scaled_projection), value_sq = |s p|^2 / s^2
+    one Fraction per candidate, the first best candidate kept."""
     best_sq: Fraction | None = None
     best_ray: tuple[int, int, int] | None = None
-    indices = list(range(len(names)))
-    subsets = [s for size in range(len(indices) + 1)
-               for s in combinations(indices, size)]
-    for subset in subsets:
-        p = _project_off(r, [constraints[i] for i in subset])
-        if not any(p):
-            continue
-        k = [-x for x in p]
-        if any(_dot(wv, k) < 0 for wv in constraints):
-            continue
-        value_sq = _dot(p, p)
-        if best_sq is None or value_sq > best_sq:
-            best_sq = value_sq
-            best_ray = _primitive(k)
+    for size in range(len(constraints) + 1):
+        for subset in combinations(constraints, size):
+            p, s = _scaled_projection(r, subset)
+            if not any(p) or any(_dot(w, p) > 0 for w in constraints):
+                continue
+            value_sq = Fraction(_dot(p, p), s * s)
+            if best_sq is None or value_sq > best_sq:
+                g = gcd(*p)
+                best_sq, best_ray = value_sq, tuple([-x // g for x in p])
     return KNSolution(best_sq, best_ray)
 
 

@@ -10,7 +10,9 @@ a dominant concatenated weight, hence cohomology in degree 0 only.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, count, starmap
 from math import factorial, prod
+from operator import sub
 
 from .homog import (BundleSum, FlagVariety, GR25, GR35, HomogeneousBundle,
                     _block_tensor, as_sum, degree_totals)
@@ -83,43 +85,56 @@ def stable_cutoff(model: TotalSpaceModel, left, right) -> CutoffCertificate:
     return _certify(model, _product(model, left, right))
 
 
-@lru_cache(maxsize=256)
-def _product(model: TotalSpaceModel, left, right):
+def _product(model: TotalSpaceModel, left, right) -> BundleSum:
     """dual(left) (x) right, for bundles or sums on the model's base, memoized:
-    a window's pretilting table and its Euler sums share one product."""
+    a window's pretilting check and its Euler sums share one product.  It
+    equals dual(dual right) (x) dual left, so the pair and its dual pair
+    share one memo entry: End(W^dual) = End(W) gives the windows club and
+    diamond the products of spade and heart."""
     left = as_sum(left)
     right = as_sum(right)
     if left.space != model.base or right.space != model.base:
         raise ValueError(f"bundles must live on {model.base}")
+    dual_left = left.dual()
+    dual_right = dual_left if right is left else right.dual()
+    pair = min((left, right), (dual_right, dual_left), key=_pair_key)
+    return _dual_tensor(*pair)
+
+
+def _pair_key(pair) -> list:
+    return [(t.blocks, t.mult) for s in pair for t in s.terms]
+
+
+@lru_cache(maxsize=256)
+def _dual_tensor(left: BundleSum, right: BundleSum) -> BundleSum:
     return left.dual().tensor(right)
 
 
 def euler_sum(model: TotalSpaceModel, terms, l: int) -> int:
     """chi(s (x) term(l)) for the sum s of the irreducible terms: row l's
-    signed Euler characteristic, with no row built."""
+    signed Euler characteristic, with no row built.  Bott's signed dimension
+    of a weight is the signed Weyl polynomial prod_{i<j} (a_i - a_j) / (j - i)
+    at a = weight + rho, 0 on a singular weight; the denominator is
+    1! 2! ... (n-1)!, divided out once."""
     term = model.term(l).blocks
-    return sum(t.mult * _term_euler(t.blocks, term) for t in terms)
+    total = 0
+    for t in terms:
+        total += t.mult * _term_euler(t.blocks, term)
+    return total // prod(map(factorial, range(model.base.n)))
 
 
 @lru_cache(maxsize=4096)
 def _term_euler(blocks: tuple, term: tuple) -> int:
-    """chi(t (x) u) for the irreducibles of these blocks: Bott's signed
-    dimension of a weight is the signed Weyl polynomial prod_{i<j} (a_i -
-    a_j) / (j - i) at a = weight + rho, 0 on a singular weight, summed here
-    over the weights of the block products with no sorting and no Cohomology."""
+    """The numerator of chi(t (x) u) for the irreducibles of these blocks:
+    prod_{i<j} (a_i - a_j) summed over the weights of the block products,
+    with no sorting and no Cohomology."""
     weights = [((), 1)]
     for x, y in zip(blocks, term):
         weights = [(w + v, c * d) for w, c in weights for v, d in _block_tensor(x, y, len(x))]
     total = 0
-    for w, num in weights:
-        a = [x - i for i, x in enumerate(w)]
-        while a:
-            top = a.pop()
-            for x in a:
-                num *= x - top
-        total += num
-    # prod_{i<j} (j - i) = 1! 2! ... (n-1)! for n = sum of the block lengths
-    return total // prod(map(factorial, range(sum(map(len, blocks)))))
+    for w, c in weights:
+        total += c * prod(starmap(sub, combinations(map(sub, w, count()), 2)))
+    return total
 
 
 def _certify(model: TotalSpaceModel, product) -> CutoffCertificate:
@@ -156,12 +171,7 @@ class ExtTable(Value):
 
     def violations(self) -> tuple[tuple[int, HomogeneousBundle, int, int], ...]:
         """(level, summand, degree, dim) for every positive-degree entry."""
-        out = []
-        for l, entries in self.rows:
-            for t, c in entries:
-                if not c.is_acyclic and c.degree > 0:
-                    out.append((l, t, c.degree, t.mult * c.dim))
-        return tuple(out)
+        return _violations(self.rows)
 
     def as_json(self) -> dict:
         rows = []
@@ -211,18 +221,19 @@ def _ext_row(model: TotalSpaceModel, product: BundleSum, l: int):
 
 
 class PretiltingReport(Value):
-    """Outcome of a self-Ext vanishing check: ``witnesses`` holds a
-    ``(level, summand, degree, dim)`` tuple for every positive-degree entry of
-    ``table``, and ``ok`` says there is none."""
+    """Outcome of a higher-Ext vanishing check on dual(left) (x) right:
+    ``witnesses`` holds a ``(level, summand, degree, dim)`` tuple for every
+    positive-degree entry of its Ext table, ``ok`` says there is none, and
+    ``certificate`` is the certified cutoff past which there can be none."""
 
-    __slots__ = ("ok", "witnesses", "table")
+    __slots__ = ("ok", "witnesses", "certificate")
 
     def as_json(self) -> dict:
         return {
             "ok": self.ok,
             "witnesses": [{"level": l, "bundle": t.literal(), "degree": d, "dim": n}
                           for l, t, d, n in self.witnesses],
-            "cutoff": self.table.certificate,
+            "cutoff": self.certificate,
         }
 
 
@@ -231,6 +242,31 @@ def is_pretilting(model: TotalSpaceModel, bundle) -> PretiltingReport:
 
     Rows beyond the certified cutoff cannot contribute, so the check is exact.
     """
-    table = ext_table(model, bundle, bundle, cutoff="auto")
-    witnesses = table.violations()
-    return PretiltingReport(not witnesses, witnesses, table)
+    certificate, witnesses = _higher_ext(model, _product(model, bundle, bundle))
+    return PretiltingReport(not witnesses, witnesses, certificate)
+
+
+@lru_cache(maxsize=256)
+def _higher_ext(model: TotalSpaceModel, product: BundleSum) -> tuple:
+    """The certificate and the violations() of ext_table(..., "auto") for a
+    product dual(left) (x) right, memoized, from the live terms of each row.
+
+    A term of dominance gap g has only dominant summands, of degree 0, in the
+    rows l >= g: the bound that certifies l0.  So row l tensors only the
+    terms of gap above l, row l0 none, and a witness, never dominant, has the
+    multiplicity the full row gives it, in the same order.
+    """
+    certificate = _certify(model, product)
+    gaps = [(model.dominance_gap(t), t) for t in product]
+    rows = []
+    for l in range(certificate.l0):
+        live = BundleSum(model.base, tuple([t for g, t in gaps if g > l]))
+        rows.append((l, live.tensor(model.term(l)).cohomology()))
+    return certificate, _violations(rows)
+
+
+def _violations(rows) -> tuple[tuple[int, HomogeneousBundle, int, int], ...]:
+    """(level, summand, degree, dim) for every positive-degree entry of
+    (level, ((summand, Cohomology), ...)) rows."""
+    return tuple([(l, t, c.degree, t.mult * c.dim) for l, entries in rows
+                  for t, c in entries if not c.is_acyclic and c.degree > 0])

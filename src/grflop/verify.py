@@ -26,7 +26,7 @@ def _check_tilting(report: Report) -> None:
                for name in data.PLUS_SETS}
     for star in data.WINDOW_NAMES:
         report.add_bool(f"tilting-xplus-{star}", results[star].ok, results[star])
-    cert = results["spade"].table.certificate
+    cert = results["spade"].certificate
     report.add_bool("cutoff-spade-equals-4", cert.l0 == 4, cert)
     report.add_bool("tilting-xplus-kapranov", results["kapranov"].ok, results["kapranov"])
 

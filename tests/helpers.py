@@ -1,13 +1,17 @@
 """Reference computations the tests share, built from the package's API:
 values that no command of the package asks for, the report encoder that
-Report.to_json_text must agree with, and one argv of every leaf command."""
+Report.to_json_text must agree with, the Gram-Schmidt Kempf-Ness solver that
+kn_adapted must agree with, and one argv of every leaf command."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 import grflop.cli
 from grflop.filtered import FilteredBundle
 from grflop.homog import (GR25, BundleSum, HomogeneousBundle, degree_totals,
                           line_bundle, schur_sub_dual)
+from grflop.stability import KNSolution
 
 
 def shift(w, t):
@@ -98,6 +102,54 @@ def encode_value(x):
     if callable(as_json):
         return encode_value(as_json())
     raise TypeError(f"cannot encode {type(x).__name__} into a report")
+
+
+def _dot(a, b):
+    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+
+
+def _project_off(r, vectors):
+    """Orthogonal projection of r onto the common kernel of the given
+    functionals, by Gram-Schmidt in Fractions."""
+    basis = []
+    for v in vectors:
+        u = [Fraction(x) for x in v]
+        for b in basis:
+            coef = _dot(u, b) / _dot(b, b)
+            u = [x - coef * y for x, y in zip(u, b)]
+        if any(u):
+            basis.append(u)
+    p = [Fraction(x) for x in r]
+    for b in basis:
+        coef = _dot(p, b) / _dot(b, b)
+        p = [x - coef * y for x, y in zip(p, b)]
+    return p
+
+
+def _primitive(p):
+    denom = lcm(*(x.denominator for x in p))
+    ints = [int(x * denom) for x in p]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def kn_reference(constraints, character):
+    """Reference Kempf-Ness solver: every subset's projection of the
+    character by Gram-Schmidt in Fractions, the feasible negated projection
+    of largest length kept, the first among equals."""
+    best_sq = best_ray = None
+    for size in range(len(constraints) + 1):
+        for subset in combinations(constraints, size):
+            p = _project_off(character, subset)
+            if not any(p):
+                continue
+            k = [-x for x in p]
+            if any(_dot(w, k) < 0 for w in constraints):
+                continue
+            value_sq = _dot(p, p)
+            if best_sq is None or value_sq > best_sq:
+                best_sq, best_ray = value_sq, _primitive(k)
+    return KNSolution(best_sq, best_ray)
 
 
 def command_argvs(tmp):

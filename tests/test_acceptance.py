@@ -204,7 +204,7 @@ class TestCriterion9PropertySuites:
 
 _WORK_COUNTS = """
 import json
-from grflop import homog, partitions, stability, total_space, verify
+from grflop import exceptional, homog, partitions, stability, total_space, verify
 calls = {}
 
 def counted(owner, name):
@@ -224,9 +224,10 @@ counted(stability, "kn_adapted")
 verify.verify_all()
 memos = (total_space._ext_row, partitions._gl_tensor,
          homog._bott, stability._slot2_members, partitions.pieri,
-         total_space._term_euler, total_space._product)
+         total_space._term_euler, total_space._dual_tensor, total_space._higher_ext,
+         exceptional._ext_groups)
 counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
-counts["maxsize"] = [f.cache_info().maxsize for f in memos[-3:]]
+counts["maxsize"] = [f.cache_info().maxsize for f in memos[-5:]]
 print(json.dumps(dict(counts, **calls)))
 """
 
@@ -235,25 +236,31 @@ def test_verify_all_work_counts():
     """One verify_all() in a fresh process makes a pinned number of memo hits
     and misses, a work count the wall clock of a noisy machine cannot show.
 
-    - _ext_row: 40 distinct rows, the pretilting tables' and those of the
-      vanishing suite (49 when euler_cross_check built cutoff-8 tables).  The
-      27 hits are every row of club and diamond (5 + 4, equal to spade's and
-      heart's) and the 18 rows of the four windows' pretilting tables that
-      euler_cross_check reads its witnesses from.
-    - _gl_tensor, _bott and the window ranges: 1, 251 and 22 distinct inputs
-      (107 and 771 before one-row blocks took Pieri's rule and the Euler
-      step stopped building rows).
-    - The new memos: pieri 102 distinct inputs, 863 hits (937 when club and
-      diamond built their own shift sums); _term_euler 805
-      (term, level) values, 1,963 hits; _product 17 products, 8 hits
-      (the Euler step's two reads of each window's product).
+    - _ext_row: no row (40 distinct rows, 27 hits, before the pretilting
+      checks and the vanishing suite built only their rows' live terms).
+    - _higher_ext: 15 products certified, the pretilting checks' 3 and the
+      vanishing suite's 12; 6 hits, club and diamond (the products of spade
+      and heart) and euler_cross_check's reads of the four windows'
+      witnesses.
+    - _dual_tensor: the same 15 products and 6 hits (17 products and 8 hits
+      in _product before club and diamond shared the products of their
+      duals).
+    - _ext_groups: 146 distinct pairs up to a common twist among the 411
+      ext_groups calls of the collections and the vanishing suite (411
+      computed before).
+    - _gl_tensor, _bott and the window ranges: 1, 118 and 22 distinct inputs
+      (1, 251 and 22 before the live rows; 107 and 771 before one-row blocks
+      took Pieri's rule and the Euler step stopped building rows).
+    - pieri 98 distinct inputs, 505 hits (102 and 863 before the live
+      rows); _term_euler 805 (term, level) values, 1,963 hits.
     - Calls at two import sites: BundleSum.tensor takes 2 block products
       through gl_tensor (1,147 before Pieri's rule, 9,102 before constant
-      blocks were shifted instead) and 965 through pieri (1,039 before club
-      and diamond took the shift sums of spade and heart), and verify makes
-      3 hl_enumerate calls (9,264 before the box sweep read the window range
-      table).
-    - HomogeneousBundle.cohomology makes 1,420 bott calls (3,513 when the
+      blocks were shifted instead) and 603 through pieri (965 before the
+      live rows, 1,039 before club and diamond took the shift sums of spade
+      and heart), and verify makes 3 hl_enumerate calls (9,264 before the
+      box sweep read the window range table).
+    - HomogeneousBundle.cohomology makes 518 bott calls (1,420 before the
+      live rows and the twist-invariant ext_groups memo; 3,513 when the
       Euler step went through Bott), and 306 bundles pass the validating
       HomogeneousBundle.__init__ (338 before club and diamond took the shift
       sums of spade and heart; 555 before term(l) built through _trusted
@@ -269,16 +276,17 @@ def test_verify_all_work_counts():
                          env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
                          capture_output=True, text=True, timeout=300).stdout
     counts = json.loads(out)
-    assert counts["_ext_row"] == [27, 40]
+    assert counts["_ext_row"] == [0, 0]
+    assert [counts[name] for name in ("_higher_ext", "_dual_tensor", "_ext_groups")] == \
+        [[6, 15], [6, 15], [265, 146]]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
-        [1, 251, 22]
-    assert [counts[name] for name in ("pieri", "_term_euler", "_product")] == \
-        [[863, 102], [1963, 805], [8, 17]]
-    assert counts["maxsize"] == [4096, 4096, 256]
+        [1, 118, 22]
+    assert [counts[name] for name in ("pieri", "_term_euler")] == [[505, 98], [1963, 805]]
+    assert counts["maxsize"] == [4096, 4096, 256, 256, 1024]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
-            counts["grflop.verify.hl_enumerate"]] == [2, 965, 3]
+            counts["grflop.verify.hl_enumerate"]] == [2, 603, 3]
     assert counts["grflop.stability.kn_adapted"] == 7
-    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [1420, 306]
+    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [518, 306]
 
 
 def _window_report(w) -> str:

@@ -13,7 +13,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import grflop.cli
 import grflop.data
@@ -24,7 +24,7 @@ from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE
                         main)
 from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
                           _block_tensor, structure_sheaf)
-from grflop.report import Report
+from grflop.report import Report, _write
 from grflop.stability import ConeProblem, kn_adapted
 from grflop.total_space import MODELS, XPLUS, ExtTable, _product, ext_table, stable_cutoff
 from grflop.verify import verify_all
@@ -640,8 +640,26 @@ _PAYLOADS = st.recursive(
                    | st.builds(_AsJson, inner)),
     max_leaves=12)
 
+# Any code point, lone surrogates and control characters included.
+_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
 
 class TestReports:
+    @given(_JSON_VALUES)
+    @settings(max_examples=500, deadline=None)
+    @example("\x00\x1f\x7f\x80\u00e9\u2028\ud800\U0001f600\"\\\b\f\n\r\t")
+    def test_writer_is_json_dumps(self, value):
+        """The report writer gives the bytes of json.dumps with indent 2 and
+        sorted keys, escapes of every kind included."""
+        out = []
+        _write(value, out, "")
+        assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
     def test_schema_valid(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         from importlib import resources

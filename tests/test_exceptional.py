@@ -1,12 +1,65 @@
 """Exceptional-collection checks and resolution K-theory witnesses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grflop import data
+from grflop import data, exceptional
 from grflop.exceptional import (ExceptionalCollection, builtin_collection,
                                 builtin_resolution, check_collection,
                                 check_resolution, ext_groups)
-from grflop.homog import GR25, line_bundle, structure_sheaf
+from grflop.homog import (FL235, GR25, GR35, HomogeneousBundle, degree_totals,
+                          line_bundle, structure_sheaf)
+
+
+def _bundle(space):
+    block = lambda s: st.lists(st.integers(-4, 4), min_size=s, max_size=s).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    return st.builds(lambda mult, *blocks: HomogeneousBundle(space, blocks, mult),
+                     st.integers(1, 3), *[block(s) for s in space.block_sizes()])
+
+
+def _twisted_pairs(space):
+    """A pair of bundles and the same pair with one random constant added to
+    every entry of each block of both: a common twist by block determinants."""
+    def twist(e, shifts):
+        return HomogeneousBundle(space, tuple(tuple(x + c for x in b)
+                                              for b, c in zip(e.blocks, shifts)), e.mult)
+    shifts = st.lists(st.integers(-5, 5), min_size=len(space.block_sizes()),
+                      max_size=len(space.block_sizes()))
+    return st.builds(lambda e, f, c: (e, f, twist(e, c), twist(f, c)),
+                     _bundle(space), _bundle(space), shifts)
+
+
+class TestExtGroupsMemo:
+    """ext_groups is memoized up to a common twist; the unmemoized
+    degree_totals of dual(source) (x) target is its oracle."""
+
+    @given(st.sampled_from([GR25, GR35, FL235]).flatmap(_twisted_pairs))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unmemoized(self, drawn):
+        for source, target in (drawn[:2], drawn[2:]):
+            expected = degree_totals(source.dual().tensor(target).cohomology())
+            assert ext_groups(source, target) == expected
+
+    def test_twists_share_one_entry(self):
+        exceptional._ext_groups.cache_clear()
+        o, o1 = structure_sheaf(GR25), line_bundle(GR25, 1)
+        assert ext_groups(o, o1) == ext_groups(o.twist(-3), o1.twist(-3)) == {0: 10}
+        assert exceptional._ext_groups.cache_info()[:2] == (1, 1)
+
+    def test_multiplicities_are_keyed(self):
+        o = structure_sheaf(GR25)
+        assert ext_groups(o.with_mult(2), o.with_mult(3)) == {0: 6}
+        assert ext_groups(o, o) == {0: 1}
+
+    def test_result_is_a_copy(self):
+        o = structure_sheaf(GR25)
+        ext_groups(o, o)[0] = 99
+        assert ext_groups(o, o) == {0: 1}
+
+    def test_spaces_must_match(self):
+        with pytest.raises(ValueError, match="different spaces"):
+            ext_groups(structure_sheaf(GR25), structure_sheaf(GR35))
 
 
 class TestBuiltinCollections:

@@ -207,14 +207,15 @@ class TestLevelEulerMemo:
     def test_one_product_per_offset_pair(self, monkeypatch):
         """The pieces of each side are merged by offset before the products
         are taken: heart's 17 pieces carry the four offsets -1..2, so its
-        self-Ext takes 16 products, not 289."""
+        self-Ext takes 16 products, not 289, each merged into the table of
+        its shift."""
         minus = minus_window("heart")
         assert len(_as_pieces(minus)) == 17
         assert {o for _, o in _as_pieces(minus)} == {-1, 0, 1, 2}
         calls = []
-        tensor = BundleSum.tensor
-        monkeypatch.setattr(BundleSum, "tensor",
-                            lambda self, other: calls.append(1) or tensor(self, other))
+        tensor_into = filtered._tensor_into
+        monkeypatch.setattr(filtered, "_tensor_into",
+                            lambda *args: calls.append(1) or tensor_into(*args))
         _shift_sums(minus, minus)
         assert len(calls) == 16
 
@@ -288,7 +289,7 @@ class TestCrossSide:
         monkeypatch.setitem(data.PLUS_SETS, "spade", bad)
         w = data.window_sum_plus("spade")
         report = is_pretilting(XPLUS, w)
-        assert report.table.cutoff == 6
+        assert report.certificate.l0 == 6
         assert {l for l, *_ in report.witnesses} == {2, 3}
         seen = []
         for max_l in range(9):

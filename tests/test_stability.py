@@ -1,7 +1,7 @@
 """Window enumeration and the exact Kempf-Ness solver."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,8 @@ from grflop import data, stability
 from grflop.stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem,
                               KNSolution, hl_enumerate, hl_max_size,
                               hl_membership, kn_adapted, kn_stratification)
-from grflop.stability import _candidates, _in_window, _slot2_members, _window
+from grflop.stability import _candidates, _in_window, _kn_solve, _slot2_members, _window
+from helpers import kn_reference
 
 
 class TestMembership:
@@ -211,8 +212,7 @@ class TestKempfNess:
         """Scaling the character scales M^2 by the square and keeps the ray."""
         base = kn_adapted(ConeProblem(("q3",), "minus"))
         r = CHARACTERS["minus"]
-        scaled = _solve_raw(tuple(TORUS_WEIGHTS[s] for s in ("q3",)),
-                            tuple(scale * x for x in r))
+        scaled = _kn_solve(tuple(scale * x for x in r), (TORUS_WEIGHTS["q3"],))
         assert scaled.value_sq == base.value_sq * scale ** 2
         assert scaled.minimizer == base.minimizer
 
@@ -266,23 +266,40 @@ class TestKempfNess:
             assert list(record["supports"]) == sorted(set(record["supports"]))
 
 
-def _solve_raw(constraints, character):
-    """Drive the solver with a nonstandard character, via a thin shim."""
-    from grflop.stability import _dot, _primitive, _project_off
-    from itertools import combinations
-    best_sq = None
-    best_ray = None
-    indices = list(range(len(constraints)))
-    subsets = [()] + [s for size in range(1, len(indices) + 1)
-                      for s in combinations(indices, size)]
-    for subset in subsets:
-        p = _project_off(character, [constraints[i] for i in subset])
-        if not any(p):
-            continue
-        k = [-x for x in p]
-        if any(_dot(w, k) < 0 for w in constraints):
-            continue
-        value_sq = _dot(p, p)
-        if best_sq is None or value_sq > best_sq:
-            best_sq, best_ray = value_sq, _primitive(k)
-    return KNSolution(best_sq, best_ray)
+
+_SUPPORT_SUBSETS = [s for size in range(len(TORUS_WEIGHTS) + 1)
+                    for s in combinations(sorted(TORUS_WEIGHTS), size)]
+
+
+class TestKempfNessReference:
+    """kn_adapted's integer projections against the Fraction Gram-Schmidt
+    reference of tests/helpers.py."""
+
+    @pytest.mark.parametrize("side", sorted(CHARACTERS))
+    def test_every_support_subset(self, side):
+        """All 64 support subsets of a side: the same value_sq, a Fraction,
+        and the same ray, the first best one on ties."""
+        assert len(_SUPPORT_SUBSETS) == 64
+        for supports in _SUPPORT_SUBSETS:
+            problem = ConeProblem(supports, side)
+            solution = kn_adapted(problem)
+            assert solution == kn_reference(problem.constraint_vectors,
+                                            problem.character_vector), supports
+            assert solution.value_sq is None or type(solution.value_sq) is Fraction
+
+    @pytest.mark.parametrize("scale", [2, 3, 7])
+    @pytest.mark.parametrize("side", sorted(CHARACTERS))
+    def test_scaled_characters(self, side, scale):
+        """The same on every support subset with the character scaled."""
+        r = tuple(scale * x for x in CHARACTERS[side])
+        for supports in _SUPPORT_SUBSETS:
+            constraints = tuple(TORUS_WEIGHTS[s] for s in supports)
+            assert _kn_solve(r, constraints) == kn_reference(constraints, r), supports
+
+    @given(st.sampled_from(_SUPPORT_SUBSETS),
+           st.tuples(*[st.integers(-6, 6)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_any_character(self, supports, character):
+        """Scaled and arbitrary integer characters on any support subset."""
+        constraints = tuple(TORUS_WEIGHTS[s] for s in supports)
+        assert _kn_solve(character, constraints) == kn_reference(constraints, character)

@@ -3,6 +3,7 @@
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grflop import data, filtered, total_space
 from grflop.homog import (GR25, GR35, BundleSum, HomogeneousBundle, line_bundle,
@@ -11,6 +12,15 @@ from grflop.total_space import (MODELS, XMINUS, XPLUS, TotalSpaceModel, euler_su
                                 ext_table, is_pretilting, stable_cutoff)
 from grflop.verify import verify_all
 from helpers import encode_value, hom_dim, signed_dim, signed_euler
+
+
+def sums_on(space):
+    """Sums of one to three terms, multiplicities 1..2, blocks in [-3, 3]."""
+    block = lambda s: st.lists(st.integers(-3, 3), min_size=s, max_size=s).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    term = st.builds(lambda mult, *blocks: HomogeneousBundle(space, blocks, mult),
+                     st.integers(1, 2), *[block(s) for s in space.block_sizes()])
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: BundleSum.of(space, ts))
 
 
 class TestPushforwardTerms:
@@ -53,15 +63,21 @@ class TestStableCutoff:
         u = schur_sub_dual(GR25, (1, 0))
         assert stable_cutoff(XMINUS, u, u).l0 == 1
 
-    def test_soundness_beyond_cutoff(self):
-        """Rows at and above the certified bound carry only degree-0 entries."""
+    def test_soundness_beyond_cutoff(self, monkeypatch):
+        """Rows at and above the certified bound carry only degree-0 entries:
+        l0..l0+5 on two pairs, and l0..l0+2 (the spot check verify-all no
+        longer builds) on the five plus sets and the vanishing suite's pairs."""
         pairs = [
-            (XPLUS, schur_sub_dual(GR35, (1, 0, 0)), line_bundle(GR35, -2)),
-            (XMINUS, schur_sub_dual(GR25, (2, 0)), schur_sub_dual(GR25, (1, 0), -1)),
+            (XPLUS, schur_sub_dual(GR35, (1, 0, 0)), line_bundle(GR35, -2), 5),
+            (XMINUS, schur_sub_dual(GR25, (2, 0)), schur_sub_dual(GR25, (1, 0), -1), 5),
         ]
-        for model, e, f in pairs:
+        pairs += [(XPLUS, data.window_sum_plus(name), data.window_sum_plus(name), 2)
+                  for name in data.PLUS_SETS]
+        pairs += [(*pair, 2) for pair in suite_pairs(monkeypatch)[0]]
+        assert len(pairs) == 19
+        for model, e, f, past in pairs:
             l0 = stable_cutoff(model, e, f).l0
-            table = ext_table(model, e, f, cutoff=l0 + 5)
+            table = ext_table(model, e, f, cutoff=l0 + past)
             for level, entries in table.rows:
                 if level >= l0:
                     for _, c in entries:
@@ -131,16 +147,22 @@ def tally_views(table) -> dict:
     }
 
 
-def suite_tables(monkeypatch) -> list:
-    """The Ext tables vanishing_suite builds, in order."""
-    tables = []
+def suite_pairs(monkeypatch) -> tuple:
+    """The (model, left, right) of the Ext tables vanishing_suite certifies,
+    in order, and its items."""
+    pairs = []
+    product = filtered._product
 
-    def record(*args, **kwargs):
-        tables.append(ext_table(*args, **kwargs))
-        return tables[-1]
-    monkeypatch.setattr(filtered, "ext_table", record)
-    filtered.vanishing_suite()
-    return tables
+    def record(*args):
+        pairs.append(args)
+        return product(*args)
+    monkeypatch.setattr(filtered, "_product", record)
+    return pairs, filtered.vanishing_suite()
+
+
+def suite_tables(monkeypatch) -> list:
+    """The full Ext tables of the pairs vanishing_suite certifies, in order."""
+    return [ext_table(*pair, cutoff="auto") for pair in suite_pairs(monkeypatch)[0]]
 
 
 class TestTally:
@@ -264,7 +286,26 @@ class TestEulerSum:
 
     def test_memos_are_bounded(self):
         assert total_space._term_euler.cache_info().maxsize == 4096
-        assert total_space._product.cache_info().maxsize == 256
+        assert total_space._dual_tensor.cache_info().maxsize == 256
+        assert total_space._higher_ext.cache_info().maxsize == 256
+
+    @pytest.mark.parametrize("star, partner", [("spade", "club"), ("heart", "diamond")])
+    def test_dual_windows_share_one_product(self, star, partner):
+        """End(W^dual) = End(W): the dual window takes the product object of
+        its partner, not an equal copy."""
+        t, u = data.window_sum_plus(star), data.window_sum_plus(partner)
+        assert total_space._product(XPLUS, u, u) is total_space._product(XPLUS, t, t)
+
+    @given(st.sampled_from([XPLUS, XMINUS]).flatmap(
+        lambda m: st.tuples(st.just(m), sums_on(m.base), sums_on(m.base))))
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_dual_tensor(self, drawn):
+        """_product(left, right) is dual(left) (x) right, whichever of the
+        pair and its dual pair (dual right, dual left) keys the memo."""
+        model, left, right = drawn
+        expected = left.dual().tensor(right)
+        assert total_space._product(model, left, right) == expected
+        assert total_space._product(model, right.dual(), left.dual()) == expected
 
 
 class TestPretilting:
@@ -314,6 +355,54 @@ class TestPretilting:
 
     def test_models_registry(self):
         assert set(MODELS) == {"xplus", "xminus"}
+
+
+class TestLiveRows:
+    """is_pretilting and vanishing_suite tensor each row l only with the
+    product terms of dominance gap above l; the full table of
+    ext_table(..., "auto") is their oracle."""
+
+    FAILING = ((3, 3, 3), (-1, -1, -3))
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["set", "dual"])
+    @pytest.mark.parametrize("name", [*data.PLUS_SETS, "failing"])
+    def test_pretilting_matches_full_table(self, name, dual, monkeypatch):
+        """Every plus set and its dual, and a set with higher self-Ext at
+        levels 2 and 3 only: the same witnesses, in order, and the same l0."""
+        monkeypatch.setitem(data.PLUS_SETS, "failing", self.FAILING)
+        w = data.window_sum_plus(name)
+        w = w.dual() if dual else w
+        total_space._higher_ext.cache_clear()
+        report = is_pretilting(XPLUS, w)
+        table = ext_table(XPLUS, w, w, "auto")
+        assert report.witnesses == table.violations()
+        assert report.certificate == table.certificate
+        assert report.ok == (not table.any_higher_cohomology)
+        if name == "failing":
+            assert report.certificate.l0 == 6
+            assert {l for l, *_ in report.witnesses} == {2, 3}
+
+    def test_vanishing_suite_matches_full_tables(self, monkeypatch):
+        """All 12 Ext pairs of the suite: the same verdict and l0."""
+        total_space._higher_ext.cache_clear()
+        pairs, items = suite_pairs(monkeypatch)
+        assert len(pairs) == 12
+        for (model, left, right), item in zip(pairs, items):
+            table = ext_table(model, left, right, "auto")
+            assert item.passed == (not table.any_higher_cohomology), item.check_id
+            assert item.details == {"l0": table.cutoff}
+
+    @given(st.sampled_from([XPLUS, XMINUS]).flatmap(
+        lambda m: st.tuples(st.just(m), sums_on(m.base), sums_on(m.base))))
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs(self, drawn):
+        """Random sums on both models, with witnesses merged from several
+        terms: the same certificate and witnesses as the full table."""
+        model, left, right = drawn
+        table = ext_table(model, left, right, "auto")
+        certificate, witnesses = total_space._higher_ext(
+            model, total_space._product(model, left, right))
+        assert (certificate, witnesses) == (table.certificate, table.violations())
 
 
 class TestCustomModel:

@@ -59,6 +59,20 @@ def test_cli_import_leaves_dataclasses_out():
     assert frozen > 0
 
 
+def test_cli_import_loads_no_json():
+    """No command imports json, whose import costs every process about a
+    millisecond: a fresh `import grflop.cli` leaves it out and still loads
+    every traced module."""
+    src = str(Path(grflop.__file__).resolve().parents[1])
+    code = "import sys, grflop.cli; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    modules = ast.literal_eval(out)
+    assert "json" not in modules
+    for name in TRACED_MODULES:
+        assert f"grflop.{name}" in modules
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
