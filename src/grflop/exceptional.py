@@ -6,8 +6,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import data
-from .homog import (BundleSum, FlagVariety, GR35, HomogeneousBundle,
-                    degree_totals, schur_sub_dual)
+from .homog import (BundleSum, FlagVariety, GR35, HomogeneousBundle, _dual_blocks,
+                    _weight_products, bott, schur_sub_dual)
 from .value import Value
 
 
@@ -75,11 +75,17 @@ def ext_groups(source: HomogeneousBundle, target: HomogeneousBundle
 @lru_cache(maxsize=1024)
 def _ext_groups(space: FlagVariety, blocks: tuple, source_mult: int,
                 target_mult: int) -> dict[int, int]:
-    """ext_groups of the bundles whose blocks are the halves of `blocks`."""
+    """ext_groups of the bundles whose blocks are the halves of `blocks`:
+    Bott dimensions summed by degree over the weights of the block products
+    of the dual source and the target, with no bundle built."""
     k = len(blocks) // 2
-    e = HomogeneousBundle._trusted(space, blocks[:k], source_mult)
-    f = HomogeneousBundle._trusted(space, blocks[k:], target_mult)
-    return degree_totals(e.dual().tensor(f).cohomology())
+    out: dict[int, int] = {}
+    for w, c in _weight_products(_dual_blocks(blocks[:k]), blocks[k:]):
+        coh = bott(space, w)
+        if not coh.is_acyclic:
+            out[coh.degree] = out.get(coh.degree, 0) + c * coh.dim
+    mult = source_mult * target_mult
+    return {d: mult * n for d, n in sorted(out.items())}
 
 
 def check_collection(coll: ExceptionalCollection) -> CollectionReport:

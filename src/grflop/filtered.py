@@ -23,10 +23,11 @@ from typing import Iterable, Sequence
 
 from . import data
 from .exceptional import ext_groups
-from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _tensor_into, as_sum,
+from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _tensor_into,
                     line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
-from .total_space import XMINUS, XPLUS, _higher_ext, _product, euler_sum
+from .total_space import (XMINUS, XPLUS, _higher_ext, _product, _term_euler,
+                          _weyl_denominator, euler_sum)
 from .value import Value
 
 
@@ -74,60 +75,56 @@ def schur_filtered(chi: Iterable[int]) -> FilteredBundle:
     return FilteredBundle(pieces, tuple(a - t for a, _, _ in graded), f"S^{list(chi)}[ext]")
 
 
-def _as_pieces(x) -> list[tuple[BundleSum, int]]:
-    """Flatten bundles, sums, filtered bundles or sequences thereof into
-    (piece, offset) pairs."""
-    if isinstance(x, FilteredBundle):
-        return list(zip(x.pieces, x.offsets))
-    if isinstance(x, (BundleSum, HomogeneousBundle)):
-        return [(as_sum(x), 0)]
-    if isinstance(x, Sequence):
-        out: list[tuple[BundleSum, int]] = []
-        for item in x:
-            out.extend(_as_pieces(item))
-        return out
-    raise TypeError(f"cannot interpret {type(x).__name__} as filtered pieces")
-
-
-def graded_euler(left, right, max_l: int = 8) -> tuple[int, ...]:
+def graded_euler(left: Sequence[FilteredBundle], right: Sequence[FilteredBundle],
+                 max_l: int = 8) -> tuple[int, ...]:
     """Filtration-additive graded Euler characteristics chi_l of Ext(left,
-    right) on the minus total space, exact integers, for l in [0, max_l].
+    right) on the minus total space, for lists of filtered bundles, exact
+    integers, for l in [0, max_l].
 
     chi_l sums, over source pieces p (offset op) and target pieces q (offset
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
     Since (x) distributes over direct sums and the signed sum is additive,
     this is chi_l = sum over d with l + d >= 0 of chi(S_d (x) term(l + d))
-    for the shift sums S_d of _shift_sums.
+    for the shift sums S_d of _shift_sums: their Weyl numerators summed,
+    divided once per level.
     """
-    sums = _shift_sums(left, right).items()
-    return tuple(sum(euler_sum(XMINUS, s, l + d) for d, s in sums if l + d >= 0)
-                 for l in range(max_l + 1))
+    tables = _shift_sums(left, right).items()
+    denominator = _weyl_denominator(XMINUS.base.n)
+    values = []
+    for l in range(max_l + 1):
+        total = 0
+        for d, table in tables:
+            if l + d >= 0:
+                term = XMINUS.term(l + d).blocks
+                for blocks, mult in table.items():
+                    total += mult * _term_euler(blocks, term)
+        values.append(total // denominator)
+    return tuple(values)
 
 
-def _shift_sums(left, right) -> dict[int, BundleSum]:
+def _shift_sums(left, right) -> dict[int, dict]:
     """S_d, the sum of dual(p) (x) q over source pieces p (offset op) and
-    target pieces q (offset oq) with oq - op = d.  The pieces of each side are
-    merged by offset first, so one product is taken per offset pair, and the
-    products of a shift merge into one table, canonicalized once."""
-    lhs = _as_pieces(left)
-    rhs = _as_pieces(right)
-    for p, _ in lhs + rhs:
-        if p.space != GR25:
-            raise ValueError(f"pieces must live on {GR25}")
-    targets = _by_offset(rhs).items()
+    target pieces q (offset oq) with oq - op = d, as a table mapping blocks
+    to multiplicities.  The pieces of each side are merged by offset first,
+    so one product is taken per offset pair, and the products of a shift
+    merge into one table."""
+    targets = _by_offset(right).items()
     by_shift: dict[int, dict] = {}
-    for op, p in _by_offset(lhs).items():
+    for op, p in _by_offset(left).items():
         dual = p.dual().terms
         for oq, q in targets:
             _tensor_into(by_shift.setdefault(oq - op, {}), dual, q.terms)
-    return {d: BundleSum._canonical(GR25, table) for d, table in by_shift.items()}
+    return by_shift
 
 
-def _by_offset(pieces: list[tuple[BundleSum, int]]) -> dict[int, BundleSum]:
-    """(piece, offset) pairs on Gr(2,5) merged into one sum per offset."""
+def _by_offset(bundles: Sequence[FilteredBundle]) -> dict[int, BundleSum]:
+    """The pieces of filtered bundles on Gr(2,5) merged into one sum per offset."""
     terms: dict[int, list[HomogeneousBundle]] = {}
-    for p, o in pieces:
-        terms.setdefault(o, []).extend(p.terms)
+    for fb in bundles:
+        for p, o in zip(fb.pieces, fb.offsets):
+            if p.space != GR25:
+                raise ValueError(f"pieces must live on {GR25}")
+            terms.setdefault(o, []).extend(p.terms)
     return {o: BundleSum.of(GR25, ts) for o, ts in terms.items()}
 
 
@@ -145,6 +142,14 @@ def _dual_key(weights) -> tuple:
     """The same key for a window's weights and for their duals."""
     dual = (tuple(-x for x in reversed(chi)) for chi in weights)
     return min(tuple(sorted(weights)), tuple(sorted(dual)))
+
+
+@lru_cache(maxsize=16)
+def _plus_euler(product: BundleSum, max_l: int) -> tuple[int, ...]:
+    """The plus values of euler_cross_check for levels 0..max_l of a product
+    dual(W) (x) W, memoized: club and diamond take the product objects of
+    spade and heart (see _product), and with them their values."""
+    return tuple(euler_sum(XPLUS, product, l) for l in range(max_l + 1))
 
 
 class SuiteItem(Value):
@@ -207,7 +212,7 @@ def euler_cross_check(star: str, max_l: int = 8) -> dict:
     plus = data.window_sum_plus(star)
     chi = _window_euler(_dual_key(data.WINDOW_WEIGHTS[star]), max_l)
     product = _product(XPLUS, plus, plus)
-    plus_values = tuple(euler_sum(XPLUS, product, l) for l in range(max_l + 1))
+    plus_values = _plus_euler(product, max_l)
     _, witnesses = _higher_ext(XPLUS, product)
     return {
         "star": star,

@@ -156,12 +156,11 @@ class HomogeneousBundle(Value):
         object.__setattr__(self, "mult", mult)
         return self
 
-    # The _ext_row and _product memos hash and compare sums of these
-    # hundreds of times per verify-all: spelled out rather than built through
-    # Value._fields.  The block shapes fix the space, so the hash leaves it out.
+    # The _dual_tensor, _higher_ext and _plus_euler memos hash and compare
+    # sums of these hundreds of times per verify-all: spelled out rather than
+    # built through Value._fields.  The block shapes fix the space, so the
+    # hash leaves it out.
     def __eq__(self, other):
-        if other is self:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.blocks == other.blocks and self.mult == other.mult
@@ -315,6 +314,16 @@ def _block_tensor(x: Weight, y: Weight, m: int):
         return [(tuple([v + c for v in nu]), 1)
                 for nu in pieri(tuple([v - a[-1] for v in a]), l)]
     return gl_tensor(x, y, m)
+
+
+def _weight_products(xs: tuple[Weight, ...], ys: tuple[Weight, ...]) -> list:
+    """The (concatenated weight, coefficient) pairs of the irreducible with
+    blocks xs tensored with the one with blocks ys, block by block, with no
+    bundle built.  Each block's weights are distinct, so no weight repeats."""
+    weights = [((), 1)]
+    for x, y in zip(xs, ys):
+        weights = [(w + v, c * d) for w, c in weights for v, d in _block_tensor(x, y, len(x))]
+    return weights
 
 
 def _block_bound(x: Weight, y: Weight) -> int:

@@ -4,13 +4,11 @@ Reports carry no timestamps and are serialized with sorted keys, so identical
 inputs produce byte-identical output.  Payloads stay the values they were
 passed as until the report is written, in one pass that writes the bytes
 ``json.dumps(indent=2, sort_keys=True)`` would, without importing ``json``:
-exact rationals are encoded as {"num": ..., "den": ...}, weights as arrays
-of integers, and any other object through its ``as_json()``.
+weights as arrays of integers, and any other object, an exact rational
+included, through its ``as_json()``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
@@ -38,8 +36,7 @@ _ESCAPES = _Escapes({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt
 
 def _write(x, out: list, pad: str) -> None:
     """Append to out the text of json.dumps(x, indent=2, sort_keys=True),
-    indented by pad, with a Fraction as {"num": ..., "den": ...} and any
-    other object through its as_json()."""
+    indented by pad, with any other object through its as_json()."""
     if isinstance(x, str):
         out.append('"' + x.translate(_ESCAPES) + '"')
     elif x is None or x is True or x is False:
@@ -68,8 +65,6 @@ def _write(x, out: list, pad: str) -> None:
             _write(v, out, inner)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif isinstance(x, Fraction):
-        _write({"num": x.numerator, "den": x.denominator}, out, pad)
     elif callable(getattr(x, "as_json", None)):
         _write(x.as_json(), out, pad)
     else:
@@ -86,8 +81,8 @@ class Report:
 
     def add(self, check_id: str, status: str, payload=None) -> None:
         """Record one check.  The payload is kept as passed and encoded only
-        by to_json_text: dicts, lists, tuples, str, int, bool, None, Fraction
-        and objects with an as_json() returning such values.  Dict keys must
+        by to_json_text: dicts, lists, tuples, str, int, bool, None and
+        objects with an as_json() returning such values.  Dict keys must
         be strings."""
         if status not in (PASS, FAIL, INFO):
             raise ValueError(f"invalid status {status!r}")

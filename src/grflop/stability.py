@@ -7,12 +7,12 @@ two GIT characters are (1,1,1) and (-1,-1,-1) up to scale.
 
 The destabilizing value M = inf (r . k)/|k| over the cone of allowed
 one-parameter subgroups is a quadratic irrational; it is carried exactly as
-(sign, M^2) and the minimizer as a primitive integer ray.
+(sign, M^2), M^2 a Ratio in lowest terms, and the minimizer as a primitive
+integer ray.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -233,6 +233,25 @@ class ConeProblem(Value):
         return CHARACTERS[self.character]
 
 
+class Ratio(Value):
+    """An exact rational num/den in lowest terms with den > 0, printed as a
+    Fraction prints (3, 1/17) and written into a report as {"num", "den"}."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        g = gcd(num, den)
+        super().__init__(num // g, den // g)
+
+    def as_json(self) -> dict:
+        return {"num": self.num, "den": self.den}
+
+    def __str__(self) -> str:
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+
+
 class KNSolution(Value):
     """Exact destabilizing datum: M = -sqrt(value_sq) on the primitive ray, or
     no destabilizing direction at all (value_sq is None)."""
@@ -296,19 +315,21 @@ def kn_adapted(problem: ConeProblem) -> KNSolution:
 def _kn_solve(r, constraints) -> KNSolution:
     """kn_adapted for a character vector r and constraint 3-vectors: the
     projections in integers (see _scaled_projection), value_sq = |s p|^2 / s^2
-    one Fraction per candidate, the first best candidate kept."""
-    best_sq: Fraction | None = None
-    best_ray: tuple[int, int, int] | None = None
+    compared by cross-multiplication, the first best candidate kept and
+    reduced once."""
+    best_num = best_den = best_ray = None
     for size in range(len(constraints) + 1):
         for subset in combinations(constraints, size):
             p, s = _scaled_projection(r, subset)
             if not any(p) or any(_dot(w, p) > 0 for w in constraints):
                 continue
-            value_sq = Fraction(_dot(p, p), s * s)
-            if best_sq is None or value_sq > best_sq:
+            num, den = _dot(p, p), s * s
+            if best_ray is None or num * best_den > best_num * den:
                 g = gcd(*p)
-                best_sq, best_ray = value_sq, tuple([-x // g for x in p])
-    return KNSolution(best_sq, best_ray)
+                best_num, best_den, best_ray = num, den, tuple([-x // g for x in p])
+    if best_ray is None:
+        return KNSolution(None, None)
+    return KNSolution(Ratio(best_num, best_den), best_ray)
 
 
 class Stratum(Value):
@@ -343,7 +364,7 @@ def _stratum(side: str, record: dict) -> Stratum:
     """A curated record (of data.KN_STRATA, or data.KN_ABSORBED_MINUS) as a
     Stratum, solved once through kn_adapted."""
     problem = ConeProblem(record["supports"], record["character"])
-    return Stratum(side, record["description"], problem, Fraction(*record["value_sq"]),
+    return Stratum(side, record["description"], problem, Ratio(*record["value_sq"]),
                    tuple(record["weight"]), kn_adapted(problem))
 
 

@@ -14,8 +14,8 @@ from itertools import combinations, count, starmap
 from math import factorial, prod
 from operator import sub
 
-from .homog import (BundleSum, FlagVariety, GR25, GR35, HomogeneousBundle,
-                    _block_tensor, as_sum, degree_totals)
+from .homog import (BundleSum, FlagVariety, GR25, GR35, HomogeneousBundle, _tensor_into,
+                    _weight_products, as_sum, bott, degree_totals)
 from .value import Value
 
 
@@ -120,7 +120,12 @@ def euler_sum(model: TotalSpaceModel, terms, l: int) -> int:
     total = 0
     for t in terms:
         total += t.mult * _term_euler(t.blocks, term)
-    return total // prod(map(factorial, range(model.base.n)))
+    return total // _weyl_denominator(model.base.n)
+
+
+def _weyl_denominator(n: int) -> int:
+    """1! 2! ... (n-1)!, the denominator of the Weyl polynomial on GL(n)."""
+    return prod(map(factorial, range(n)))
 
 
 @lru_cache(maxsize=4096)
@@ -128,11 +133,8 @@ def _term_euler(blocks: tuple, term: tuple) -> int:
     """The numerator of chi(t (x) u) for the irreducibles of these blocks:
     prod_{i<j} (a_i - a_j) summed over the weights of the block products,
     with no sorting and no Cohomology."""
-    weights = [((), 1)]
-    for x, y in zip(blocks, term):
-        weights = [(w + v, c * d) for w, c in weights for v, d in _block_tensor(x, y, len(x))]
     total = 0
-    for w, c in weights:
+    for w, c in _weight_products(blocks, term):
         total += c * prod(starmap(sub, combinations(map(sub, w, count()), 2)))
     return total
 
@@ -171,7 +173,8 @@ class ExtTable(Value):
 
     def violations(self) -> tuple[tuple[int, HomogeneousBundle, int, int], ...]:
         """(level, summand, degree, dim) for every positive-degree entry."""
-        return _violations(self.rows)
+        return tuple([(l, t, c.degree, t.mult * c.dim) for l, entries in self.rows
+                      for t, c in entries if not c.is_acyclic and c.degree > 0])
 
     def as_json(self) -> dict:
         rows = []
@@ -205,19 +208,8 @@ def ext_table(model: TotalSpaceModel, left, right, cutoff="auto") -> ExtTable:
         top = int(cutoff)
         if top < 0:
             raise ValueError("cutoff must be nonnegative")
-    rows = tuple((l, _ext_row(model, product, l)) for l in range(top + 1))
+    rows = tuple((l, product.tensor(model.term(l)).cohomology()) for l in range(top + 1))
     return ExtTable(model, rows, top, certificate)
-
-
-@lru_cache(maxsize=4096)
-def _ext_row(model: TotalSpaceModel, product: BundleSum, l: int):
-    """Row l of the Ext table of a product dual(left) (x) right, memoized.
-
-    Equal products share their rows: the windows club and diamond are the
-    duals of spade and heart, End(W^dual) = End(W) gives them the same
-    product, and a table with a higher cutoff reuses the rows of a lower one.
-    """
-    return product.tensor(model.term(l)).cohomology()
 
 
 class PretiltingReport(Value):
@@ -252,21 +244,26 @@ def _higher_ext(model: TotalSpaceModel, product: BundleSum) -> tuple:
     product dual(left) (x) right, memoized, from the live terms of each row.
 
     A term of dominance gap g has only dominant summands, of degree 0, in the
-    rows l >= g: the bound that certifies l0.  So row l tensors only the
-    terms of gap above l, row l0 none, and a witness, never dominant, has the
-    multiplicity the full row gives it, in the same order.
+    rows l >= g: the bound that certifies l0.  In row g - 1 the junction
+    entries of its summands satisfy y <= x + 1, and y = x + 1 repeats an
+    entry after adding rho: each summand is dominant or acyclic.  So row l
+    tensors only the terms of gap above l + 1, the rows from l0 - 1 on none,
+    and a witness, never dominant, has the multiplicity the full row gives
+    it.  Bott runs on the merged table of a row; a bundle is built only for
+    a witness, and a row's witnesses are sorted by blocks, as in the
+    canonical row.
     """
     certificate = _certify(model, product)
     gaps = [(model.dominance_gap(t), t) for t in product]
-    rows = []
-    for l in range(certificate.l0):
-        live = BundleSum(model.base, tuple([t for g, t in gaps if g > l]))
-        rows.append((l, live.tensor(model.term(l)).cohomology()))
-    return certificate, _violations(rows)
-
-
-def _violations(rows) -> tuple[tuple[int, HomogeneousBundle, int, int], ...]:
-    """(level, summand, degree, dim) for every positive-degree entry of
-    (level, ((summand, Cohomology), ...)) rows."""
-    return tuple([(l, t, c.degree, t.mult * c.dim) for l, entries in rows
-                  for t, c in entries if not c.is_acyclic and c.degree > 0])
+    space = model.base
+    witnesses = []
+    for l in range(certificate.l0 - 1):
+        live = [t for g, t in gaps if g > l + 1]
+        found = []
+        for blocks, mult in _tensor_into({}, live, (model.term(l),)).items():
+            c = bott(space, sum(blocks, ()))
+            if c.degree:  # neither acyclic (None) nor 0
+                found.append((blocks, mult, c))
+        witnesses += [(l, HomogeneousBundle._trusted(space, blocks, mult), c.degree, mult * c.dim)
+                      for blocks, mult, c in sorted(found)]
+    return certificate, tuple(witnesses)

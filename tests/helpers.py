@@ -90,8 +90,6 @@ def serialize_set_file(sets):
 def encode_value(x):
     """Reference encoder of report payloads: the JSON tree that
     Report.to_json_text writes, built by one recursive walk."""
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, dict):
         return {str(k): encode_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -131,6 +129,21 @@ def _primitive(p):
     ints = [int(x * denom) for x in p]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+def exact(x):
+    """(numerator, denominator) of a Ratio or a Fraction; None stays None."""
+    if x is None:
+        return None
+    if isinstance(x, Fraction):
+        return (x.numerator, x.denominator)
+    return (x.num, x.den)
+
+
+def kn_exact(solution):
+    """A KNSolution as (value_sq as exact(...), minimizer), for comparing a
+    solution of Ratios with one of Fractions."""
+    return exact(solution.value_sq), solution.minimizer
 
 
 def kn_reference(constraints, character):

@@ -26,6 +26,7 @@ from grflop.partitions import lr_mult
 from grflop.report import Report
 from grflop.stability import ConeProblem, hl_enumerate, kn_adapted
 from grflop.total_space import XPLUS, is_pretilting, stable_cutoff
+from helpers import exact
 
 
 def _line(number: int, title: str, ok: bool) -> None:
@@ -124,7 +125,7 @@ def test_criterion_7_kempf_ness_values():
     ok = True
     for supports, character, value_sq, ray in cases:
         solution = kn_adapted(ConeProblem(supports, character))
-        ok = ok and solution.value_sq == value_sq and solution.minimizer == ray
+        ok = ok and exact(solution.value_sq) == exact(value_sq) and solution.minimizer == ray
     _line(7, "Kempf-Ness reference values (exact rationals)", ok)
     assert ok
 
@@ -204,7 +205,7 @@ class TestCriterion9PropertySuites:
 
 _WORK_COUNTS = """
 import json
-from grflop import exceptional, homog, partitions, stability, total_space, verify
+from grflop import exceptional, filtered, homog, partitions, stability, total_space, verify
 calls = {}
 
 def counted(owner, name):
@@ -222,12 +223,12 @@ counted(homog.HomogeneousBundle, "__init__")
 counted(verify, "hl_enumerate")
 counted(stability, "kn_adapted")
 verify.verify_all()
-memos = (total_space._ext_row, partitions._gl_tensor,
+memos = (partitions._gl_tensor,
          homog._bott, stability._slot2_members, partitions.pieri,
          total_space._term_euler, total_space._dual_tensor, total_space._higher_ext,
-         exceptional._ext_groups)
+         exceptional._ext_groups, filtered._plus_euler)
 counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
-counts["maxsize"] = [f.cache_info().maxsize for f in memos[-5:]]
+counts["maxsize"] = [f.cache_info().maxsize for f in memos[-6:]]
 print(json.dumps(dict(counts, **calls)))
 """
 
@@ -236,8 +237,6 @@ def test_verify_all_work_counts():
     """One verify_all() in a fresh process makes a pinned number of memo hits
     and misses, a work count the wall clock of a noisy machine cannot show.
 
-    - _ext_row: no row (40 distinct rows, 27 hits, before the pretilting
-      checks and the vanishing suite built only their rows' live terms).
     - _higher_ext: 15 products certified, the pretilting checks' 3 and the
       vanishing suite's 12; 6 hits, club and diamond (the products of spade
       and heart) and euler_cross_check's reads of the four windows'
@@ -248,20 +247,27 @@ def test_verify_all_work_counts():
     - _ext_groups: 146 distinct pairs up to a common twist among the 411
       ext_groups calls of the collections and the vanishing suite (411
       computed before).
-    - _gl_tensor, _bott and the window ranges: 1, 118 and 22 distinct inputs
-      (1, 251 and 22 before the live rows; 107 and 771 before one-row blocks
+    - _gl_tensor, _bott and the window ranges: 1, 97 and 22 distinct inputs
+      (_bott 118 before the live rows skipped row g - 1 of a term of gap g;
+      1, 251 and 22 before the live rows; 107 and 771 before one-row blocks
       took Pieri's rule and the Euler step stopped building rows).
-    - pieri 98 distinct inputs, 505 hits (102 and 863 before the live
-      rows); _term_euler 805 (term, level) values, 1,963 hits.
+    - pieri 94 distinct inputs, 470 hits (98 and 505 before row g - 1 was
+      skipped; 102 and 863 before the live rows); _term_euler 805 (term,
+      level) values, 1,252 hits (1,963 before club and diamond took the
+      plus values of spade and heart).
+    - _plus_euler: 2 products, 2 hits, club and diamond (new).
     - Calls at two import sites: BundleSum.tensor takes 2 block products
       through gl_tensor (1,147 before Pieri's rule, 9,102 before constant
-      blocks were shifted instead) and 603 through pieri (965 before the
-      live rows, 1,039 before club and diamond took the shift sums of spade
-      and heart), and verify makes 3 hl_enumerate calls (9,264 before the
-      box sweep read the window range table).
-    - HomogeneousBundle.cohomology makes 518 bott calls (1,420 before the
-      live rows and the twist-invariant ext_groups memo; 3,513 when the
-      Euler step went through Bott), and 306 bundles pass the validating
+      blocks were shifted instead) and 564 through pieri (603 before row
+      g - 1 was skipped, 965 before the live rows, 1,039 before club and
+      diamond took the shift sums of spade and heart), and verify makes 3
+      hl_enumerate calls (9,264 before the box sweep read the window range
+      table).
+    - HomogeneousBundle.cohomology makes 84 bott calls, all from the
+      resolutions (518 before ext_groups and the live rows ran _bott on
+      weights; 1,420 before the live rows and the twist-invariant
+      ext_groups memo; 3,513 when the Euler step went through Bott), and
+      306 bundles pass the validating
       HomogeneousBundle.__init__ (338 before club and diamond took the shift
       sums of spade and heart; 555 before term(l) built through _trusted
       and euler_cross_check built each plus window once; 1,132 before dual()
@@ -276,17 +282,16 @@ def test_verify_all_work_counts():
                          env=dict(os.environ, PYTHONPATH=pythonpath), check=True,
                          capture_output=True, text=True, timeout=300).stdout
     counts = json.loads(out)
-    assert counts["_ext_row"] == [0, 0]
-    assert [counts[name] for name in ("_higher_ext", "_dual_tensor", "_ext_groups")] == \
-        [[6, 15], [6, 15], [265, 146]]
+    assert [counts[name] for name in ("_higher_ext", "_dual_tensor", "_ext_groups",
+                                      "_plus_euler")] == [[6, 15], [6, 15], [265, 146], [2, 2]]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
-        [1, 118, 22]
-    assert [counts[name] for name in ("pieri", "_term_euler")] == [[505, 98], [1963, 805]]
-    assert counts["maxsize"] == [4096, 4096, 256, 256, 1024]
+        [1, 97, 22]
+    assert [counts[name] for name in ("pieri", "_term_euler")] == [[470, 94], [1252, 805]]
+    assert counts["maxsize"] == [4096, 4096, 256, 256, 1024, 16]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
-            counts["grflop.verify.hl_enumerate"]] == [2, 603, 3]
+            counts["grflop.verify.hl_enumerate"]] == [2, 564, 3]
     assert counts["grflop.stability.kn_adapted"] == 7
-    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [518, 306]
+    assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [84, 306]
 
 
 def _window_report(w) -> str:

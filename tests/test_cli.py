@@ -25,7 +25,7 @@ from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE
 from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
                           _block_tensor, structure_sheaf)
 from grflop.report import Report, _write
-from grflop.stability import ConeProblem, kn_adapted
+from grflop.stability import ConeProblem, Ratio, kn_adapted
 from grflop.total_space import MODELS, XPLUS, ExtTable, _product, ext_table, stable_cutoff
 from grflop.verify import verify_all
 from helpers import command_argvs, encode_value, serialize_set_file
@@ -634,7 +634,7 @@ class _AsJson:
 
 _PAYLOADS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-    | st.fractions(max_denominator=50),
+    | st.builds(Ratio, st.integers(), st.integers(1, 50)),
     lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(st.text(max_size=8), inner, max_size=3)
                    | st.builds(_AsJson, inner)),

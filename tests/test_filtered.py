@@ -1,12 +1,12 @@
 """Filtered Schur powers, graded Euler characteristics, and the vanishing suite."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grflop import filtered
-from grflop.filtered import (FilteredBundle, _as_pieces, _shift_sums, euler_cross_check,
+from grflop.filtered import (FilteredBundle, _shift_sums, euler_cross_check,
                              graded_euler, schur_filtered, vanishing_suite)
-from grflop.homog import (GR25, GR35, BundleSum, line_bundle, schur_sub_dual,
-                          structure_sheaf)
+from grflop.homog import GR25, GR35, BundleSum, schur_sub_dual, structure_sheaf
 from grflop.partitions import weyl_dim
 from grflop.total_space import XMINUS, XPLUS, ext_table, is_pretilting
 from grflop.verify import verify_all
@@ -17,6 +17,11 @@ from helpers import core_extension, dual, rank, refined, signed_dim, signed_eule
 def minus_window(star):
     """The minus window of a star: the core extension's Schur powers of its weights."""
     return [schur_filtered(chi) for chi in data.WINDOW_WEIGHTS[star]]
+
+
+def pieces(bundles):
+    """The (piece, offset) pairs of a list of filtered bundles."""
+    return [(p, o) for fb in bundles for p, o in zip(fb.pieces, fb.offsets)]
 
 
 def piece_blocks(fb):
@@ -120,40 +125,42 @@ class TestSchurFiltered:
 
 class TestGradedEuler:
     def test_structure_sheaf(self):
-        o = structure_sheaf(GR25)
+        o = [schur_filtered((0, 0, 0))]
+        assert o[0].pieces == (BundleSum.of(GR25, [structure_sheaf(GR25)]),)
         assert graded_euler(o, o, 0) == (1,)
 
     def test_core_extension_endomorphisms(self):
-        chi = graded_euler(core_extension(), core_extension(), 1)
+        chi = graded_euler([core_extension()], [core_extension()], 1)
         assert chi[0] == 1
         assert chi[1] == 451
 
     def test_hom_from_structure_sheaf(self):
-        assert graded_euler(structure_sheaf(GR25), core_extension(), 1) == (5, 330)
+        assert graded_euler([schur_filtered((0, 0, 0))], [core_extension()], 1) == (5, 330)
 
     def test_refinement_invariance(self):
         p = schur_filtered((2, 1, 0))
         q = schur_filtered((1, 1, 0))
-        coarse = graded_euler(p, q, 4)
-        assert graded_euler(refined(p), refined(q), 4) == coarse
-        assert graded_euler(refined(p), q, 4) == coarse
+        coarse = graded_euler([p], [q], 4)
+        assert graded_euler([refined(p)], [refined(q)], 4) == coarse
+        assert graded_euler([refined(p)], [q], 4) == coarse
 
     def test_offsets_matter(self):
         """Zeroing the offsets breaks the anchor value, so they are load-bearing."""
         p = core_extension()
         flat = FilteredBundle(p.pieces, (0, 0), "flat")
-        assert graded_euler(flat, flat, 0) != (1,)
+        assert graded_euler([flat], [flat], 0) != (1,)
 
     def test_base_mismatch(self):
-        with pytest.raises(ValueError):
-            graded_euler(structure_sheaf(GR35), structure_sheaf(GR35), 0)
+        o = FilteredBundle((BundleSum.of(GR35, [structure_sheaf(GR35)]),), (0,))
+        with pytest.raises(ValueError, match=r"pieces must live on gr\(2,5\)"):
+            graded_euler([o], [o], 0)
 
 
 def graded_euler_per_pair(left, right, max_l):
     """Reference for graded_euler: every source/target piece pair tensored
     with term(l - op + oq) on its own, with no merging by shift."""
     products = [(op, oq, p.dual().tensor(q))
-                for p, op in _as_pieces(left) for q, oq in _as_pieces(right)]
+                for p, op in pieces(left) for q, oq in pieces(right)]
     values = []
     for l in range(max_l + 1):
         total = 0
@@ -180,15 +187,35 @@ class TestGradedEulerOracle:
         q = schur_filtered((1, 0, -1))
         for left, right in [(refined(p), refined(q)), (refined(p), q),
                             (q, refined(p))]:
-            assert graded_euler(left, right, 5) == \
-                graded_euler_per_pair(left, right, 5)
+            assert graded_euler([left], [right], 5) == \
+                graded_euler_per_pair([left], [right], 5)
 
     def test_mixed_inputs(self):
-        left = [structure_sheaf(GR25), core_extension(),
-                BundleSum.of(GR25, [line_bundle(GR25, -1), schur_sub_dual(GR25, (1, 0))])]
-        right = [schur_filtered((2, 0, 0)), line_bundle(GR25, 1)]
+        """Lists of several filtered bundles, refined and not, whose pieces
+        share offsets across bundles."""
+        left = [schur_filtered((0, 0, 0)), core_extension(), refined(schur_filtered((1, 0, -1)))]
+        right = [schur_filtered((2, 0, 0)), schur_filtered((-1, -1, -1))]
         for a, b in [(left, right), (right, left)]:
             assert graded_euler(a, b, 4) == graded_euler_per_pair(a, b, 4)
+
+    @given(*[st.lists(st.tuples(*[st.integers(-3, 3)] * 3).map(
+        lambda xs: tuple(sorted(xs, reverse=True))), min_size=1, max_size=3)] * 2,
+           st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_random_lists(self, left, right, max_l):
+        """Random lists of schur_filtered bundles against the shift sums as
+        canonical BundleSums, their Euler numbers taken through Bott."""
+        left = [schur_filtered(chi) for chi in left]
+        right = [schur_filtered(chi) for chi in right]
+        terms = {}
+        for p, op in pieces(left):
+            for q, oq in pieces(right):
+                terms.setdefault(oq - op, []).extend(p.dual().tensor(q))
+        sums = {d: BundleSum.of(GR25, ts) for d, ts in terms.items()}
+        expected = tuple(sum(signed_euler(s.tensor(XMINUS.term(l + d)))
+                             for d, s in sums.items() if l + d >= 0)
+                         for l in range(max_l + 1))
+        assert graded_euler(left, right, max_l) == expected
 
 
 class TestLevelEulerMemo:
@@ -210,8 +237,8 @@ class TestLevelEulerMemo:
         self-Ext takes 16 products, not 289, each merged into the table of
         its shift."""
         minus = minus_window("heart")
-        assert len(_as_pieces(minus)) == 17
-        assert {o for _, o in _as_pieces(minus)} == {-1, 0, 1, 2}
+        assert len(pieces(minus)) == 17
+        assert {o for _, o in pieces(minus)} == {-1, 0, 1, 2}
         calls = []
         tensor_into = filtered._tensor_into
         monkeypatch.setattr(filtered, "_tensor_into",

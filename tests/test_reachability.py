@@ -17,6 +17,11 @@ PACKAGE = Path(grflop.__file__).resolve().parent
 ALLOWED = {
     "homog:Cohomology.__repr__": "a debugging aid: no command prints a repr",
     "homog:HomogeneousBundle.__repr__": "a debugging aid: no command prints a repr",
+    "homog:HomogeneousBundle.dual": "the bundle-object reference of the tests (Serre "
+                                    "duality, ext_groups' oracle); ext_groups and the "
+                                    "live rows work on weights",
+    "homog:HomogeneousBundle.tensor": "the same reference; perfbench/layers.py traces it "
+                                      "by name (homog.HomogeneousBundle.tensor.calls)",
     "value:Value.__repr__": "a debugging aid: no command prints a repr",
     "value:Value.__setattr__": "immutability guard: only a caller that assigns a field runs it",
     "value:Value.__delattr__": "immutability guard: only a caller that deletes a field runs it",

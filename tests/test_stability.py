@@ -1,5 +1,6 @@
 """Window enumeration and the exact Kempf-Ness solver."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop import data, stability
+from grflop.report import _write
 from grflop.stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem,
-                              KNSolution, hl_enumerate, hl_max_size,
+                              KNSolution, Ratio, hl_enumerate, hl_max_size,
                               hl_membership, kn_adapted, kn_stratification)
 from grflop.stability import _candidates, _in_window, _kn_solve, _slot2_members, _window
-from helpers import kn_reference
+from helpers import exact, kn_exact, kn_reference
 
 
 class TestMembership:
@@ -192,7 +194,7 @@ class TestKempfNess:
     @pytest.mark.parametrize("supports,character,value_sq,ray", KN_CASES)
     def test_reference_cases(self, supports, character, value_sq, ray):
         solution = kn_adapted(ConeProblem(supports, character))
-        assert solution.value_sq == value_sq
+        assert exact(solution.value_sq) == exact(value_sq)
         assert solution.minimizer == ray
 
     def test_full_cone_semistable(self):
@@ -213,7 +215,7 @@ class TestKempfNess:
         base = kn_adapted(ConeProblem(("q3",), "minus"))
         r = CHARACTERS["minus"]
         scaled = _kn_solve(tuple(scale * x for x in r), (TORUS_WEIGHTS["q3"],))
-        assert scaled.value_sq == base.value_sq * scale ** 2
+        assert exact(scaled.value_sq) == exact(Fraction(*exact(base.value_sq)) * scale ** 2)
         assert scaled.minimizer == base.minimizer
 
     def test_permutation_equivariance(self):
@@ -223,7 +225,7 @@ class TestKempfNess:
             supports = tuple(sorted(f"q{i}" for i in (1, 2, 3) if i != missing))
             solution = kn_adapted(ConeProblem(supports, "minus"))
             expected = tuple(3 if i == missing else -2 for i in (1, 2, 3))
-            assert solution.value_sq == Fraction(1, 17)
+            assert exact(solution.value_sq) == exact(Fraction(1, 17))
             assert solution.minimizer == expected
 
     def test_rejects_unknown_support(self):
@@ -233,11 +235,12 @@ class TestKempfNess:
     def test_strata_validate(self):
         plus = kn_stratification("plus")
         assert [s.weight for s in plus] == [(1, 1, 1), (1, 1, 0), (1, 0, 0)]
-        assert [s.value_sq for s in plus] == [Fraction(3), Fraction(2), Fraction(1)]
+        assert [exact(s.value_sq) for s in plus] == \
+            [exact(f) for f in (Fraction(3), Fraction(2), Fraction(1))]
         minus = kn_stratification("minus")
         assert [s.weight for s in minus] == [(-1, -1, -1), (1, 1, -4), (1, 0, -2)]
-        assert [s.value_sq for s in minus] == \
-            [Fraction(3), Fraction(2, 9), Fraction(1, 5)]
+        assert [exact(s.value_sq) for s in minus] == \
+            [exact(f) for f in (Fraction(3), Fraction(2, 9), Fraction(1, 5))]
 
     def test_absorbed_ray_not_a_stratum(self):
         minus = kn_stratification("minus")
@@ -277,15 +280,16 @@ class TestKempfNessReference:
 
     @pytest.mark.parametrize("side", sorted(CHARACTERS))
     def test_every_support_subset(self, side):
-        """All 64 support subsets of a side: the same value_sq, a Fraction,
-        and the same ray, the first best one on ties."""
+        """All 64 support subsets of a side: the same value_sq, a Ratio in
+        the lowest terms of the reference's Fraction, and the same ray, the
+        first best one on ties."""
         assert len(_SUPPORT_SUBSETS) == 64
         for supports in _SUPPORT_SUBSETS:
             problem = ConeProblem(supports, side)
             solution = kn_adapted(problem)
-            assert solution == kn_reference(problem.constraint_vectors,
-                                            problem.character_vector), supports
-            assert solution.value_sq is None or type(solution.value_sq) is Fraction
+            assert kn_exact(solution) == kn_exact(kn_reference(
+                problem.constraint_vectors, problem.character_vector)), supports
+            assert solution.value_sq is None or type(solution.value_sq) is Ratio
 
     @pytest.mark.parametrize("scale", [2, 3, 7])
     @pytest.mark.parametrize("side", sorted(CHARACTERS))
@@ -294,7 +298,8 @@ class TestKempfNessReference:
         r = tuple(scale * x for x in CHARACTERS[side])
         for supports in _SUPPORT_SUBSETS:
             constraints = tuple(TORUS_WEIGHTS[s] for s in supports)
-            assert _kn_solve(r, constraints) == kn_reference(constraints, r), supports
+            assert kn_exact(_kn_solve(r, constraints)) == \
+                kn_exact(kn_reference(constraints, r)), supports
 
     @given(st.sampled_from(_SUPPORT_SUBSETS),
            st.tuples(*[st.integers(-6, 6)] * 3))
@@ -302,4 +307,43 @@ class TestKempfNessReference:
     def test_any_character(self, supports, character):
         """Scaled and arbitrary integer characters on any support subset."""
         constraints = tuple(TORUS_WEIGHTS[s] for s in supports)
-        assert _kn_solve(character, constraints) == kn_reference(constraints, character)
+        assert kn_exact(_kn_solve(character, constraints)) == \
+            kn_exact(kn_reference(constraints, character))
+
+
+class TestRatio:
+    """value_sq is a Ratio where it was a Fraction: on all 128 support
+    subsets, with the characters scaled, it prints, compares and is written
+    as the Fraction of kn_reference was."""
+
+    @pytest.mark.parametrize("scale", [1, 2, 3, 7])
+    def test_matches_fraction(self, scale):
+        pairs = []
+        for side in sorted(CHARACTERS):
+            r = tuple(scale * x for x in CHARACTERS[side])
+            for supports in _SUPPORT_SUBSETS:
+                constraints = tuple(TORUS_WEIGHTS[s] for s in supports)
+                got = _kn_solve(r, constraints).value_sq
+                want = kn_reference(constraints, r).value_sq
+                if want is None:
+                    assert got is None
+                    continue
+                pairs.append((got, want))
+                assert str(got) == str(want)
+                assert exact(got) == exact(want)
+                out = []
+                _write(got, out, "")
+                assert "".join(out) == json.dumps(
+                    {"num": want.numerator, "den": want.denominator}, indent=2, sort_keys=True)
+        assert len(pairs) > 64
+        for a, fa in pairs:
+            for b, fb in pairs:
+                assert (a == b) == (fa == fb)
+                assert a != b or hash(a) == hash(b)
+
+    def test_lowest_terms(self):
+        assert exact(Ratio(4, 18)) == (2, 9)
+        assert Ratio(6, 2) == Ratio(3, 1)
+        assert str(Ratio(6, 2)) == "3"
+        with pytest.raises(ValueError):
+            Ratio(1, 0)

@@ -206,60 +206,6 @@ class TestTally:
         assert checks["cutoff-spade-equals-4"]["payload"] == stable_cutoff(XPLUS, t, t)
 
 
-class TestRowMemo:
-    """ext_table takes row l from the bounded _ext_row memo on (model,
-    product, l), so equal products share their rows."""
-
-    @staticmethod
-    def cases():
-        w = data.window_sum_plus
-        sub_dual = schur_sub_dual(GR25, (1, 0))
-        return [(XPLUS, w("spade"), w("spade"), "auto"), (XPLUS, w("club"), w("club"), 8),
-                (XPLUS, w("heart"), w("diamond"), 3), (XPLUS, w("kapranov"), w("kapranov"), "auto"),
-                (XMINUS, structure_sheaf(GR25), line_bundle(GR25, -3), "auto"),
-                (XMINUS, sub_dual, schur_sub_dual(GR25, (2, 0), 2), "auto")]
-
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_rows_equal_fresh_products(self, warm):
-        """Every row equals product.tensor(model.term(l)).cohomology() built
-        afresh, from a cold memo and from one that verify-all has filled."""
-        total_space._ext_row.cache_clear()
-        if warm:
-            verify_all()
-        for model, left, right, cutoff in self.cases():
-            table = ext_table(model, left, right, cutoff)
-            product = total_space._product(model, left, right)
-            assert table.rows == tuple((l, product.tensor(model.term(l)).cohomology())
-                                       for l in range(table.cutoff + 1))
-
-    @pytest.mark.parametrize("star, partner", [("spade", "club"), ("heart", "diamond")])
-    def test_dual_windows_share_rows(self, star, partner):
-        """club and diamond are the duals of spade and heart, so their
-        self-Ext products are equal and every one of their rows is a hit."""
-        t, u = data.window_sum_plus(star), data.window_sum_plus(partner)
-        assert total_space._product(XPLUS, u, u) == total_space._product(XPLUS, t, t)
-        total_space._ext_row.cache_clear()
-        first = ext_table(XPLUS, t, t, "auto")
-        misses = total_space._ext_row.cache_info().misses
-        second = ext_table(XPLUS, u, u, "auto")
-        info = total_space._ext_row.cache_info()
-        assert (info.misses, info.hits) == (misses, len(first.rows))
-        assert second.rows == first.rows
-
-    def test_higher_cutoff_reuses_rows(self):
-        """A cutoff-8 table computes only the rows past the certified cutoff
-        of the pretilting table; the lower rows are hits."""
-        t = data.window_sum_plus("spade")
-        total_space._ext_row.cache_clear()
-        l0 = ext_table(XPLUS, t, t, "auto").cutoff
-        ext_table(XPLUS, t, t, 8)
-        info = total_space._ext_row.cache_info()
-        assert (info.hits, info.misses) == (l0 + 1, 9)
-
-    def test_memo_is_bounded(self):
-        assert total_space._ext_row.cache_info().maxsize == 4096
-
-
 class TestEulerSum:
     """euler_sum, the signed Weyl polynomial over the block products, against
     the Bott path that builds the row."""
@@ -403,6 +349,25 @@ class TestLiveRows:
         certificate, witnesses = total_space._higher_ext(
             model, total_space._product(model, left, right))
         assert (certificate, witnesses) == (table.certificate, table.violations())
+
+    @given(st.sampled_from([XPLUS, XMINUS]).flatmap(
+        lambda m: st.tuples(st.just(m), sums_on(m.base), sums_on(m.base))))
+    @settings(max_examples=60, deadline=None)
+    def test_no_witness_one_row_below_the_gap(self, drawn):
+        """Why row l tensors only the terms of gap above l + 1: every summand
+        that a term of gap g gives in row g - 1 has junction entries
+        y <= x + 1; it is acyclic at y = x + 1 (an entry repeats after adding
+        rho) and dominant, of degree 0, below. None can be a witness."""
+        model, left, right = drawn
+        for t in total_space._product(model, left, right):
+            g = model.dominance_gap(t)
+            if g < 1:
+                continue
+            for s in t.tensor(model.term(g - 1)):
+                x, y = s.blocks[0][-1], s.blocks[1][0]
+                c = s.cohomology()
+                assert y <= x + 1, (t, s)
+                assert c.is_acyclic if y == x + 1 else c.degree == 0, (t, s)
 
 
 class TestCustomModel:

@@ -9,7 +9,6 @@ import pickle
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from grflop.filtered import FilteredBundle, SuiteItem
 from grflop.homog import (GR25, GR35, BundleSum, Cohomology, FlagVariety,
                           HomogeneousBundle, line_bundle, structure_sheaf)
 from grflop.report import Report
-from grflop.stability import (ConeProblem, KNSolution, Membership, Stratum,
+from grflop.stability import (ConeProblem, KNSolution, Membership, Ratio, Stratum,
                               hl_membership, kn_adapted)
 from grflop.total_space import (XMINUS, XPLUS, CutoffCertificate, ExtTable,
                                 PretiltingReport, TotalSpaceModel, ext_table,
@@ -61,14 +60,16 @@ def test_cli_import_leaves_dataclasses_out():
 
 def test_cli_import_loads_no_json():
     """No command imports json, whose import costs every process about a
-    millisecond: a fresh `import grflop.cli` leaves it out and still loads
-    every traced module."""
+    millisecond, nor fractions, which brings decimal and numbers with it:
+    a fresh `import grflop.cli` leaves them out and still loads every traced
+    module."""
     src = str(Path(grflop.__file__).resolve().parents[1])
     code = "import sys, grflop.cli; print(sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          check=True, capture_output=True, text=True, timeout=60).stdout
     modules = ast.literal_eval(out)
     assert "json" not in modules
+    assert not {"fractions", "decimal", "numbers"} & set(modules)
     for name in TRACED_MODULES:
         assert f"grflop.{name}" in modules
 
@@ -144,9 +145,10 @@ FACTORIES = {
     SuiteItem: lambda: SuiteItem("probe", "a probe", True, {"l0": 0}),
     Membership: lambda: hl_membership((0, 0, 0), (0, 0, 0), "plus"),
     ConeProblem: lambda: ConeProblem(("q2", "q1", "q2"), "minus"),
+    Ratio: lambda: Ratio(4, 18),
     KNSolution: lambda: kn_adapted(ConeProblem(("q3",), "minus")),
     Stratum: lambda: Stratum("plus", "probe", ConeProblem(("q1",), "plus"),
-                             Fraction(2, 9), (1, 1, -4),
+                             Ratio(2, 9), (1, 1, -4),
                              kn_adapted(ConeProblem(("q1",), "plus"))),
 }
 
