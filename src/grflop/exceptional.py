@@ -6,8 +6,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import data
-from .homog import (BundleSum, FlagVariety, GR35, HomogeneousBundle, _dual_blocks,
-                    _weight_products, bott, schur_sub_dual)
+from .homog import (BundleSum, FlagVariety, GR35, HomogeneousBundle, _block_tensor,
+                    _dual_blocks, bott, schur_sub_dual)
 from .value import Value
 
 
@@ -76,11 +76,15 @@ def ext_groups(source: HomogeneousBundle, target: HomogeneousBundle
 def _ext_groups(space: FlagVariety, blocks: tuple, source_mult: int,
                 target_mult: int) -> dict[int, int]:
     """ext_groups of the bundles whose blocks are the halves of `blocks`:
-    Bott dimensions summed by degree over the weights of the block products
-    of the dual source and the target, with no bundle built."""
+    Bott dimensions summed by degree over the concatenated weights of the
+    block products of the dual source and the target, with no bundle built.
+    Each block's weights are distinct, so no weight repeats."""
     k = len(blocks) // 2
+    weights = [((), 1)]
+    for x, y in zip(_dual_blocks(blocks[:k]), blocks[k:]):
+        weights = [(w + v, c * d) for w, c in weights for v, d in _block_tensor(x, y, len(x))]
     out: dict[int, int] = {}
-    for w, c in _weight_products(_dual_blocks(blocks[:k]), blocks[k:]):
+    for w, c in weights:
         coh = bott(space, w)
         if not coh.is_acyclic:
             out[coh.degree] = out.get(coh.degree, 0) + c * coh.dim

@@ -26,8 +26,7 @@ from .exceptional import ext_groups
 from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _tensor_into,
                     line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
-from .total_space import (XMINUS, XPLUS, _higher_ext, _product, _term_euler,
-                          _weyl_denominator, euler_sum)
+from .total_space import XMINUS, XPLUS, _euler, _higher_ext, _product, euler_sum
 from .value import Value
 
 
@@ -85,21 +84,11 @@ def graded_euler(left: Sequence[FilteredBundle], right: Sequence[FilteredBundle]
     oq), the signed Bott dimensions of dual(p) (x) q (x) term(l - op + oq).
     Since (x) distributes over direct sums and the signed sum is additive,
     this is chi_l = sum over d with l + d >= 0 of chi(S_d (x) term(l + d))
-    for the shift sums S_d of _shift_sums: their Weyl numerators summed,
-    divided once per level.
+    for the shift sums S_d of _shift_sums.
     """
     tables = _shift_sums(left, right).items()
-    denominator = _weyl_denominator(XMINUS.base.n)
-    values = []
-    for l in range(max_l + 1):
-        total = 0
-        for d, table in tables:
-            if l + d >= 0:
-                term = XMINUS.term(l + d).blocks
-                for blocks, mult in table.items():
-                    total += mult * _term_euler(blocks, term)
-        values.append(total // denominator)
-    return tuple(values)
+    return tuple(sum(_euler(table.items(), XMINUS.term(l + d).blocks)
+                     for d, table in tables if l + d >= 0) for l in range(max_l + 1))
 
 
 def _shift_sums(left, right) -> dict[int, dict]:

@@ -294,15 +294,24 @@ def _tensor_into(merged: dict, terms, others) -> dict:
 
 def _block_tensor(x: Weight, y: Weight, m: int):
     """The (weight, coefficient) pairs of V_x (x) V_y for GL(m), on weights of
-    length m.  A constant weight (c, ..., c) is det^c, whose product with V_y
-    is V_{y+c}, so it takes no Littlewood-Richardson product; for c = 0 the
-    result is y itself, not a copy.  A weight (c+l, c, ..., c) is
-    det^c (x) Sym^l and (c, ..., c, c-l) is det^c (x) (Sym^l)^dual, whose
+    length m: those of _block_product, twisted (y itself if x is 0)."""
+    c, pairs = _block_product(x, y, m)
+    if not c:
+        return pairs
+    return [(tuple([v + c for v in w]), n) for w, n in pairs]
+
+
+def _block_product(x: Weight, y: Weight, m: int) -> tuple:
+    """V_x (x) V_y for GL(m) as (c, pairs): det^c tensored with the sum of the
+    (weight, coefficient) pairs, so that a twist builds no weight.  A constant
+    weight (c, ..., c) is det^c, whose product with V_y is V_y twisted by c,
+    so it takes no Littlewood-Richardson product.  A weight (c+l, c, ..., c)
+    is det^c (x) Sym^l and (c, ..., c, c-l) is det^c (x) (Sym^l)^dual, whose
     products are Pieri's horizontal strips, each of coefficient one."""
     if x[0] == x[-1]:
-        return ((tuple([v + x[0] for v in y]) if x[0] else y, 1),)
+        return x[0], ((y, 1),)
     if y[0] == y[-1]:
-        return ((tuple([v + y[0] for v in x]) if y[0] else x, 1),)
+        return y[0], ((x, 1),)
     for a, b in ((x, y), (y, x)):
         if b[1] == b[-1]:
             l, c = b[0] - b[-1], b[-1]
@@ -310,20 +319,9 @@ def _block_tensor(x: Weight, y: Weight, m: int):
             l, c = b[-1] - b[0], b[0]
         else:
             continue
-        c += a[-1]  # share one memo entry among the twists of a
-        return [(tuple([v + c for v in nu]), 1)
-                for nu in pieri(tuple([v - a[-1] for v in a]), l)]
-    return gl_tensor(x, y, m)
-
-
-def _weight_products(xs: tuple[Weight, ...], ys: tuple[Weight, ...]) -> list:
-    """The (concatenated weight, coefficient) pairs of the irreducible with
-    blocks xs tensored with the one with blocks ys, block by block, with no
-    bundle built.  Each block's weights are distinct, so no weight repeats."""
-    weights = [((), 1)]
-    for x, y in zip(xs, ys):
-        weights = [(w + v, c * d) for w, c in weights for v, d in _block_tensor(x, y, len(x))]
-    return weights
+        # Strips of a shifted to end in 0: its twists share one memo entry.
+        return c + a[-1], [(nu, 1) for nu in pieri(tuple([v - a[-1] for v in a]), l)]
+    return 0, gl_tensor(x, y, m)
 
 
 def _block_bound(x: Weight, y: Weight) -> int:

@@ -1,11 +1,13 @@
 """Reference computations the tests share, built from the package's API:
 values that no command of the package asks for, the report encoder that
 Report.to_json_text must agree with, the Gram-Schmidt Kempf-Ness solver that
-kn_adapted must agree with, and one argv of every leaf command."""
+kn_adapted must agree with, one argv of every leaf command, and random sums."""
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from hypothesis import strategies as st
 
 import grflop.cli
 from grflop.filtered import FilteredBundle
@@ -194,3 +196,12 @@ def command_argvs(tmp):
     assert [tuple(a[:len(w)]) for a, w in zip(argvs, words)] == words
     assert len(argvs) == len(words)
     return argvs
+
+
+def sums_on(space):
+    """Sums of one to three terms, multiplicities 1..2, blocks in [-3, 3]."""
+    block = lambda s: st.lists(st.integers(-3, 3), min_size=s, max_size=s).map(
+        lambda xs: tuple(sorted(xs, reverse=True)))
+    term = st.builds(lambda mult, *blocks: HomogeneousBundle(space, blocks, mult),
+                     st.integers(1, 2), *[block(s) for s in space.block_sizes()])
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: BundleSum.of(space, ts))

@@ -225,7 +225,7 @@ counted(stability, "kn_adapted")
 verify.verify_all()
 memos = (partitions._gl_tensor,
          homog._bott, stability._slot2_members, partitions.pieri,
-         total_space._term_euler, total_space._dual_tensor, total_space._higher_ext,
+         total_space._weyl_sum, total_space._dual_tensor, total_space._higher_ext,
          exceptional._ext_groups, filtered._plus_euler)
 counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
 counts["maxsize"] = [f.cache_info().maxsize for f in memos[-6:]]
@@ -251,16 +251,23 @@ def test_verify_all_work_counts():
       (_bott 118 before the live rows skipped row g - 1 of a term of gap g;
       1, 251 and 22 before the live rows; 107 and 771 before one-row blocks
       took Pieri's rule and the Euler step stopped building rows).
-    - pieri 94 distinct inputs, 470 hits (98 and 505 before row g - 1 was
-      skipped; 102 and 863 before the live rows); _term_euler 805 (term,
-      level) values, 1,252 hits (1,963 before club and diamond took the
-      plus values of spade and heart).
+    - pieri 94 distinct inputs, 670 hits (470 while the _term_euler memo
+      of (term, level) values answered 1,252 of its 2,057 calls and so
+      took no block products for them; 98 and 505 before row g - 1 was
+      skipped; 102 and 863 before the live rows).
+    - _weyl_sum: 146 Euler kernel calls, one per product and level on the
+      plus side and per shift sum and level on the minus side, which
+      compile its function for the 2 block shapes, (3 | 2) and (2 | 3),
+      and keep nothing else (before, _term_euler kept its 805 (term, level)
+      values, 1,252 hits, 1,963 before club and diamond took the plus
+      values of spade and heart).
     - _plus_euler: 2 products, 2 hits, club and diamond (new).
-    - Calls at two import sites: BundleSum.tensor takes 2 block products
+    - Calls at two import sites: the block products of homog take 2
       through gl_tensor (1,147 before Pieri's rule, 9,102 before constant
-      blocks were shifted instead) and 564 through pieri (603 before row
-      g - 1 was skipped, 965 before the live rows, 1,039 before club and
-      diamond took the shift sums of spade and heart), and verify makes 3
+      blocks were shifted instead) and 764 through pieri (564 behind the
+      _term_euler memo, 603 before row g - 1 was skipped, 965 before the
+      live rows, 1,039 before club and diamond took the shift sums of
+      spade and heart), and verify makes 3
       hl_enumerate calls (9,264 before the box sweep read the window range
       table).
     - HomogeneousBundle.cohomology makes 84 bott calls, all from the
@@ -286,10 +293,10 @@ def test_verify_all_work_counts():
                                       "_plus_euler")] == [[6, 15], [6, 15], [265, 146], [2, 2]]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
         [1, 97, 22]
-    assert [counts[name] for name in ("pieri", "_term_euler")] == [[470, 94], [1252, 805]]
-    assert counts["maxsize"] == [4096, 4096, 256, 256, 1024, 16]
+    assert [counts[name] for name in ("pieri", "_weyl_sum")] == [[670, 94], [144, 2]]
+    assert counts["maxsize"] == [4096, 16, 256, 256, 1024, 16]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
-            counts["grflop.verify.hl_enumerate"]] == [2, 564, 3]
+            counts["grflop.verify.hl_enumerate"]] == [2, 764, 3]
     assert counts["grflop.stability.kn_adapted"] == 7
     assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [84, 306]
 

@@ -18,12 +18,13 @@ from hypothesis import event, example, given, settings, strategies as st
 import grflop.cli
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file
+from grflop.exceptional import ExceptionalCollection
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
                         LEVEL_MAX, LR_MAX_BOXES, SUMMANDS_MAX, TABLE_SUMMANDS_MAX,
                         TWISTS_MAX, WEYL_MAX_M, _resolve_set, _summand_bound, build_parser,
                         main)
 from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
-                          _block_tensor, structure_sheaf)
+                          _block_tensor, line_bundle, structure_sheaf)
 from grflop.report import Report, _write
 from grflop.stability import ConeProblem, Ratio, kn_adapted
 from grflop.total_space import MODELS, XPLUS, ExtTable, _product, ext_table, stable_cutoff
@@ -613,6 +614,20 @@ class TestCommands:
 
     def test_collections_check(self, capsys):
         assert main(["collections", "check", "--name", "prop31-1"]) == EXIT_OK
+
+    def test_collections_check_prints_violations(self, capsys, monkeypatch):
+        """A failing collection prints one line per violation and exits 1."""
+        failing = ExceptionalCollection("prop31-1", GR25, (
+            line_bundle(GR25, 5), structure_sheaf(GR25).with_mult(2)))
+        monkeypatch.setattr(grflop.cli, "builtin_collection", lambda name: failing)
+        assert main(["collections", "check", "--name", "prop31-1"]) == EXIT_FAIL
+        assert capsys.readouterr().out.splitlines() == [
+            "collection prop31-1: FAILS (2 objects)",
+            "  strongness: objects (0 -> 1), degree 6, dim 2",
+            "  semiorthogonality: objects (1 -> 0), degree 0, dim 2352",
+            "  exceptional: objects (1 -> 1), degree 0, dim 4",
+            "FAIL (1 of 1 checks)",
+        ]
 
     def test_collections_resolve(self, capsys):
         assert main(["collections", "resolve", "--name", "lascoux-3",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop import data, exceptional
-from grflop.exceptional import (ExceptionalCollection, builtin_collection,
+from grflop.exceptional import (ExceptionalCollection, Violation, builtin_collection,
                                 builtin_resolution, check_collection,
                                 check_resolution, ext_groups)
 from grflop.homog import (FL235, GR25, GR35, HomogeneousBundle, degree_totals,
@@ -114,6 +114,15 @@ class TestNegativeControl:
         assert not report.passed
         assert any(v.degree == 6 and v.dim == 1 for v in report.violations)
         assert ext_groups(line_bundle(GR25, 5), structure_sheaf(GR25)) == {6: 1}
+
+    def test_doubled_object_is_not_exceptional(self):
+        """An object of multiplicity 2 has Hom(E, E) of dimension 4, not 1:
+        the one violation is Hom itself, since exceptionality reports no
+        degree-0 Ext but that one."""
+        coll = ExceptionalCollection("doubled", GR25, (structure_sheaf(GR25).with_mult(2),))
+        report = check_collection(coll)
+        assert not report.passed
+        assert report.violations == (Violation("exceptional", 0, 0, 0, 4),)
 
 
 class TestResolutions:

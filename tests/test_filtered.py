@@ -8,10 +8,10 @@ from grflop.filtered import (FilteredBundle, _shift_sums, euler_cross_check,
                              graded_euler, schur_filtered, vanishing_suite)
 from grflop.homog import GR25, GR35, BundleSum, schur_sub_dual, structure_sheaf
 from grflop.partitions import weyl_dim
-from grflop.total_space import XMINUS, XPLUS, ext_table, is_pretilting
+from grflop.total_space import XMINUS, XPLUS, _product, euler_sum, ext_table, is_pretilting
 from grflop.verify import verify_all
 from grflop import data
-from helpers import core_extension, dual, rank, refined, signed_dim, signed_euler
+from helpers import core_extension, dual, rank, refined, signed_dim, signed_euler, sums_on
 
 
 def minus_window(star):
@@ -324,6 +324,68 @@ class TestCrossSide:
             assert euler_cross_check("spade", max_l)["plus_has_higher"] == expected
             seen.append(expected)
         assert seen == [False] * 2 + [True] * 7
+
+
+def differences(values, k):
+    """The k-th finite differences of a sequence."""
+    for _ in range(k):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+def polynomial_from(left, right):
+    """L = max(0, -d_min - 2) for the least shift d_min of the shift sums:
+    chi(S_d (x) term(m)) is a polynomial in m that vanishes at m = -1 and
+    -2 (term(m) is S^m of a rank-3 fiber), so graded_euler, which leaves
+    out m = l + d < 0, is one polynomial in l from L on."""
+    return max(0, -min(_shift_sums(left, right)) - 2)
+
+
+weights_3 = st.tuples(*[st.integers(-3, 3)] * 3).map(lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+class TestLevelPolynomial:
+    """chi(F (x) S^l N) is the Hilbert polynomial of a sheaf on the 8-fold
+    projectivization of the rank-3 fiber N: of degree at most 8 in l, so
+    its 9th differences vanish."""
+
+    @pytest.mark.parametrize("star", data.WINDOW_NAMES)
+    def test_windows(self, star):
+        """Over levels 0..20, from l = 0 on the plus side and from L on the
+        minus side (2 for spade and club, 1 for heart and diamond), with
+        constant 8th differences; the sides agree at every level."""
+        result = euler_cross_check(star, 20)
+        low = polynomial_from(minus_window(star), minus_window(star))
+        assert low == (2 if star in ("spade", "club") else 1)
+        eighth = 896000 if star in ("spade", "club") else 1400000
+        for values in (result["plus"], result["minus"][low:]):
+            assert set(differences(values, 8)) == {eighth}
+            assert set(differences(values, 9)) == {0}
+        assert result["equal"]
+
+    @given(sums_on(GR35), sums_on(GR35))
+    @settings(max_examples=50, deadline=None)
+    def test_random_plus_pairs(self, left, right):
+        product = _product(XPLUS, left, right)
+        values = [euler_sum(XPLUS, product, l) for l in range(21)]
+        assert set(differences(values, 9)) == {0}
+
+    @given(st.lists(weights_3, min_size=1, max_size=2), st.lists(weights_3, min_size=1, max_size=2))
+    @settings(max_examples=50, deadline=None)
+    def test_random_minus_pairs(self, left, right):
+        left = [schur_filtered(chi) for chi in left]
+        right = [schur_filtered(chi) for chi in right]
+        values = graded_euler(left, right, 20)[polynomial_from(left, right):]
+        assert set(differences(values, 9)) == {0}
+
+    @pytest.mark.parametrize("dropped", [1, 5, 12, 20])
+    def test_a_dropped_level_fails(self, dropped):
+        """Negative control: the plus values of spade at levels 0..21 with
+        one inner level left out are no polynomial of degree 8 in their
+        index (leaving out an end only shifts the index)."""
+        values = list(euler_cross_check("spade", 21)["plus"])
+        del values[dropped]
+        assert set(differences(values, 9)) != {0}
 
 
 class TestVanishingSuite:

@@ -6,21 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop import data, filtered, total_space
-from grflop.homog import (GR25, GR35, BundleSum, HomogeneousBundle, line_bundle,
-                          schur_sub_dual, structure_sheaf)
+from grflop.homog import (GR25, GR35, BundleSum, FlagVariety, HomogeneousBundle,
+                          line_bundle, schur_sub_dual, structure_sheaf)
 from grflop.total_space import (MODELS, XMINUS, XPLUS, TotalSpaceModel, euler_sum,
                                 ext_table, is_pretilting, stable_cutoff)
 from grflop.verify import verify_all
-from helpers import encode_value, hom_dim, signed_dim, signed_euler
-
-
-def sums_on(space):
-    """Sums of one to three terms, multiplicities 1..2, blocks in [-3, 3]."""
-    block = lambda s: st.lists(st.integers(-3, 3), min_size=s, max_size=s).map(
-        lambda xs: tuple(sorted(xs, reverse=True)))
-    term = st.builds(lambda mult, *blocks: HomogeneousBundle(space, blocks, mult),
-                     st.integers(1, 2), *[block(s) for s in space.block_sizes()])
-    return st.lists(term, min_size=1, max_size=3).map(lambda ts: BundleSum.of(space, ts))
+from helpers import encode_value, hom_dim, signed_dim, signed_euler, sums_on
 
 
 class TestPushforwardTerms:
@@ -211,12 +202,16 @@ class TestEulerSum:
     the Bott path that builds the row."""
 
     @pytest.mark.parametrize("model", [
-        XPLUS, XMINUS, TotalSpaceModel("lr", GR35, ((3, 2, 1), (0, 0)))],
-        ids=["xplus", "xminus", "lr-fiber"])
+        XPLUS, XMINUS, TotalSpaceModel("lr", GR35, ((3, 2, 1), (0, 0))),
+        TotalSpaceModel("p2", FlagVariety.grassmannian(1, 3), ((1,), (0, 0))),
+        TotalSpaceModel("gr24", FlagVariety.grassmannian(2, 4), ((2, 1), (0, -1)))],
+        ids=["xplus", "xminus", "lr-fiber", "gr13", "gr24"])
     def test_matches_bott_path(self, model):
         """For every irreducible with blocks in [-2, 2] and every l in 0..12.
         The third fiber is no one-row block, so its products take the LR
-        rule, with coefficients above one."""
+        rule, with coefficients above one.  The Euler kernel compiles its
+        sum per block shape: Gr(1,3) has a block of length 1, and both
+        blocks of Gr(2,4)'s fiber give Pieri strips, not a twist."""
         blocks = [combinations_with_replacement(range(2, -3, -1), s)
                   for s in model.base.block_sizes()]
         for combo in product(*blocks):
@@ -231,7 +226,8 @@ class TestEulerSum:
         assert total_space._product(XPLUS, w, w) is total_space._product(XPLUS, w, w)
 
     def test_memos_are_bounded(self):
-        assert total_space._term_euler.cache_info().maxsize == 4096
+        """The Euler kernel keeps only its compiled sum per block shape."""
+        assert total_space._weyl_sum.cache_info().maxsize == 16
         assert total_space._dual_tensor.cache_info().maxsize == 256
         assert total_space._higher_ext.cache_info().maxsize == 256
 
