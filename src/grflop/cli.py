@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Every leaf command is one row of ``COMMANDS``.  Its handler prints a table and
-returns a Report (None for a pure query); ``_dispatch`` writes the report for
-``--json PATH`` and picks the exit code.  Exit codes: 0 for success (or a pure
-query), 1 exactly when the report has a failed check, 2 for usage errors, 3
-for an internal error (a bug; one line on stderr, no traceback), and 141
+returns a Report (None for a pure query); ``_dispatch`` streams the report to
+``--json PATH`` (stdout for ``-``) and picks the exit code.  Exit codes: 0 for
+success (or a pure query), 1 exactly when the report has a failed check, 2 for
+usage errors, 3 for an internal error (a bug; one line on stderr, no
+traceback, and the report may stop short), and 141
 (128 + SIGPIPE, as a shell reports for ``yes | head``) when the reader of
 stdout closed it early, with nothing on stderr.
 """
@@ -54,10 +55,11 @@ SUMMANDS_MAX = 4096
 # _summand_bound of the two, so `--cutoff N` and `auto` at l0 = N decide
 # alike.  Whole processes, text (`--json -`), best of 5 on a 2-vCPU VM:
 # heart against kapranov at 100, the built-in top, 14,397, 0.2 s (0.3 s);
-# o against u=[50,0,-50] at auto 23,426, 0.4 s (0.75 s); o against
-# u=[8,0,-38] at 100, the slowest found, 29,601, 0.7 s (1.0 s).  A limit admitting u=[16,8,0] against itself
-# (96,609; 0.44 s in process) admits o against u=[90,70,0] at 100 (97,797;
-# 2.2 s), near the refused o against u=[100,50,0] at 100 (140,226; 3.1 s).
+# o against u=[50,0,-50] at auto 23,426, 0.3 s (0.7 s); o against
+# u=[8,0,-38] at 100, the slowest found, 29,601, 0.4 s (0.8 s).  A limit
+# admitting u=[16,8,0] against itself (96,609; 0.44 s in process) admits o
+# against u=[90,70,0] at 100 (97,797; 2.2 s), near the refused o against
+# u=[100,50,0] at 100 (140,226; 3.1 s).
 TABLE_SUMMANDS_MAX = 30000
 # `lr mult` and `lr coeff` expand the whole LR product, whose cost grows
 # steeply with the number of boxes: the worst shapes found take about a second
@@ -443,13 +445,11 @@ def _dispatch(args) -> int:
     report = args.func(args)
     if report is None:
         return EXIT_OK
-    if args.json:
-        text = report.to_json_text()
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    if args.json == "-":
+        report.write(sys.stdout)
+    elif args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            report.write(fh)
     if report.failed:
         print(f"FAIL ({len(report.failed)} of {len(report.checks)} checks)")
         return EXIT_FAIL

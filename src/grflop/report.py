@@ -2,13 +2,15 @@
 
 Reports carry no timestamps and are serialized with sorted keys, so identical
 inputs produce byte-identical output.  Payloads stay the values they were
-passed as until the report is written, in one pass that writes the bytes
-``json.dumps(indent=2, sort_keys=True)`` would, without importing ``json``:
-weights as arrays of integers, and any other object, an exact rational
-included, through its ``as_json()``.
+passed as until the report is written, in one pass that streams to its sink
+the bytes ``json.dumps(indent=2, sort_keys=True)`` would, without importing
+``json`` and without holding the text: weights as arrays of integers, and any
+other object, an exact rational included, through its ``as_json()``.
 """
 
 from __future__ import annotations
+
+import io
 
 SCHEMA_VERSION = 1
 
@@ -34,39 +36,40 @@ class _Escapes(dict):
 _ESCAPES = _Escapes({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
 
 
-def _write(x, out: list, pad: str) -> None:
-    """Append to out the text of json.dumps(x, indent=2, sort_keys=True),
-    indented by pad, with any other object through its as_json()."""
+def _write(x, write, pad: str) -> None:
+    """Pass to write, in pieces, the text of json.dumps(x, indent=2,
+    sort_keys=True), indented by pad, with any other object through its
+    as_json()."""
     if isinstance(x, str):
-        out.append('"' + x.translate(_ESCAPES) + '"')
+        write('"' + x.translate(_ESCAPES) + '"')
     elif x is None or x is True or x is False:
-        out.append("null" if x is None else "true" if x else "false")
+        write("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        write(int.__repr__(x))
     elif isinstance(x, dict):
         if not x:
-            out.append("{}")
+            write("{}")
             return
         inner = pad + "  "
         sep = "{\n" + inner
         for k, v in sorted(x.items()):
-            out.append(sep + '"' + k.translate(_ESCAPES) + '": ')
-            _write(v, out, inner)
+            write(sep + '"' + k.translate(_ESCAPES) + '": ')
+            _write(v, write, inner)
             sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+        write("\n" + pad + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
-            out.append("[]")
+            write("[]")
             return
         inner = pad + "  "
         sep = "[\n" + inner
         for v in x:
-            out.append(sep)
-            _write(v, out, inner)
+            write(sep)
+            _write(v, write, inner)
             sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+        write("\n" + pad + "]")
     elif callable(getattr(x, "as_json", None)):
-        _write(x.as_json(), out, pad)
+        _write(x.as_json(), write, pad)
     else:
         raise TypeError(f"cannot encode {type(x).__name__} into a report")
 
@@ -81,7 +84,7 @@ class Report:
 
     def add(self, check_id: str, status: str, payload=None) -> None:
         """Record one check.  The payload is kept as passed and encoded only
-        by to_json_text: dicts, lists, tuples, str, int, bool, None and
+        by write: dicts, lists, tuples, str, int, bool, None and
         objects with an as_json() returning such values.  Dict keys must
         be strings."""
         if status not in (PASS, FAIL, INFO):
@@ -113,8 +116,27 @@ class Report:
             "summary": counts,
         }
 
+    def write(self, fh) -> None:
+        """Stream the report into the text file fh, ending with a newline.
+        Fragments go out joined 128 at a time (a few KB), so that a sink
+        that writes through (python -u, a terminal) makes one system call
+        per piece, not per fragment.  If encoding raises, what was encoded
+        before it is still written."""
+        parts = []
+
+        def write(text):
+            parts.append(text)
+            if len(parts) == 128:
+                fh.write("".join(parts))
+                parts.clear()
+
+        try:
+            _write(self.as_json(), write, "")
+            parts.append("\n")
+        finally:
+            fh.write("".join(parts))
+
     def to_json_text(self) -> str:
-        out: list[str] = []
-        _write(self.as_json(), out, "")
-        out.append("\n")
-        return "".join(out)
+        buf = io.StringIO()
+        self.write(buf)
+        return buf.getvalue()

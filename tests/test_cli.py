@@ -9,8 +9,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -664,6 +666,10 @@ _JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+_JSON_COMMANDS = [words for words, _, specs, _ in grflop.cli.COMMANDS
+                  if any("--json" in flags for flags, _ in specs)]
+
+
 class TestReports:
     @given(_JSON_VALUES)
     @settings(max_examples=500, deadline=None)
@@ -671,9 +677,39 @@ class TestReports:
     def test_writer_is_json_dumps(self, value):
         """The report writer gives the bytes of json.dumps with indent 2 and
         sorted keys, escapes of every kind included."""
-        out = []
-        _write(value, out, "")
-        assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+        parts = []
+        _write(value, parts.append, "")
+        assert "".join(parts) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_writer_batches_fragments(self):
+        """Report.write gives the sink the writer's fragments joined in a few
+        KB apiece, so that a sink that writes through (python -u, a terminal)
+        makes tens of system calls for verify-all's report, not thousands."""
+        report = verify_all()
+        parts, calls = [], []
+        _write(report.as_json(), parts.append, "")
+        report.write(SimpleNamespace(write=calls.append))
+        assert "".join(calls) == "".join(parts) + "\n"
+        assert len(calls) == len(parts) // 128 + 1 < 40
+
+    def test_writer_memory_is_flat(self):
+        """Report.write streams: its traced peak for verify-all's checks eight
+        times over stays below twice the peak for one copy, where holding the
+        text would grow with it."""
+        checks = verify_all().checks
+        peaks = []
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            for copies in (1, 8):
+                report = Report("verify-all")
+                report.checks = checks * copies
+                report.write(fh)  # fills the escape table before tracing
+                tracemalloc.start()
+                try:
+                    report.write(fh)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_schema_valid(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
@@ -768,9 +804,7 @@ class TestReports:
         assert main(argv + ["--json", str(tmp_path / "ext.json")]) == EXIT_OK
         assert calls == [1]
 
-    @pytest.mark.parametrize("words", [words for words, _, specs, _ in grflop.cli.COMMANDS
-                                       if any("--json" in flags for flags, _ in specs)],
-                             ids=" ".join)
+    @pytest.mark.parametrize("words", _JSON_COMMANDS, ids=" ".join)
     def test_json_is_canonical(self, words, tmp_path, capsys):
         """Every command with --json writes the file that json.dumps with
         indent 2 and sorted keys writes of its contents."""
@@ -780,6 +814,45 @@ class TestReports:
         assert main(argv) == EXIT_OK
         text = Path(argv[argv.index("--json") + 1]).read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("words", _JSON_COMMANDS, ids=" ".join)
+    def test_one_writer(self, words, tmp_path, capsys, monkeypatch):
+        """--json PATH and --json - write the bytes of to_json_text() of the
+        same report."""
+        reports = []
+        write = Report.write
+        monkeypatch.setattr(Report, "write",
+                            lambda self, fh: reports.append(self) or write(self, fh))
+        argv = next(a for a in command_argvs(tmp_path) if tuple(a[:len(words)]) == words)
+        if "--json" in argv:
+            argv = argv[:argv.index("--json")]
+        path = tmp_path / "report.json"
+        assert main(argv + ["--json", str(path)]) == EXIT_OK
+        assert path.read_text() == reports[-1].to_json_text()
+        capsys.readouterr()
+        assert main(argv + ["--json", "-"]) == EXIT_OK
+        assert reports[-1].to_json_text() in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sink", ["file", "-"])
+    def test_internal_error_mid_stream(self, sink, tmp_path, capsys, monkeypatch):
+        """A payload that raises while the report is being written, after
+        earlier checks went out, is still exit 3 with one line on stderr;
+        the sink keeps what was written before it."""
+        class Broken:
+            def as_json(self):
+                raise RuntimeError("boom")
+
+        report = Report("verify-all")
+        report.add("written-first", "pass", {"n": 1})
+        report.add("broken", "pass", Broken())
+        monkeypatch.setattr(grflop.cli, "verify_all", lambda: report)
+        path = tmp_path / "report.json"
+        assert main(["verify-all", "--json", str(path) if sink == "file" else "-"]) \
+            == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert err == "internal error: RuntimeError: boom\n"
+        written = path.read_text() if sink == "file" else out
+        assert '"id": "written-first"' in written and '"summary"' not in written
 
 
 # ---------------------------------------------------------------- argv fuzzer

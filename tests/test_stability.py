@@ -331,9 +331,9 @@ class TestRatio:
                 pairs.append((got, want))
                 assert str(got) == str(want)
                 assert exact(got) == exact(want)
-                out = []
-                _write(got, out, "")
-                assert "".join(out) == json.dumps(
+                parts = []
+                _write(got, parts.append, "")
+                assert "".join(parts) == json.dumps(
                     {"num": want.numerator, "den": want.denominator}, indent=2, sort_keys=True)
         assert len(pairs) > 64
         for a, fa in pairs:
