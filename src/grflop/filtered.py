@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from . import data
 from .exceptional import ext_groups
-from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _tensor_into,
+from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _dual_blocks, _tensor_into,
                     line_bundle, schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
 from .total_space import XMINUS, XPLUS, _euler, _higher_ext, _product, euler_sum
@@ -96,13 +96,21 @@ def _shift_sums(left, right) -> dict[int, dict]:
     target pieces q (offset oq) with oq - op = d, as a table mapping blocks
     to multiplicities.  The pieces of each side are merged by offset first,
     so one product is taken per offset pair, and the products of a shift
-    merge into one table."""
-    targets = _by_offset(right).items()
+    merge into one table.  For End (left is right) the product of (q, p) is
+    the termwise dual of that of (p, q), so only the pairs with op <= oq are
+    taken, and S_-d is the termwise dual of S_d."""
+    same = left is right
+    sources = _by_offset(left).items()
+    targets = sources if same else _by_offset(right).items()
     by_shift: dict[int, dict] = {}
-    for op, p in _by_offset(left).items():
+    for op, p in sources:
         dual = p.dual().terms
         for oq, q in targets:
-            _tensor_into(by_shift.setdefault(oq - op, {}), dual, q.terms)
+            if not same or op <= oq:
+                _tensor_into(by_shift.setdefault(oq - op, {}), dual, q.terms)
+    if same:
+        by_shift.update({-d: {_dual_blocks(blocks): m for blocks, m in table.items()}
+                         for d, table in by_shift.items() if d})
     return by_shift
 
 

@@ -251,7 +251,9 @@ def test_verify_all_work_counts():
       (_bott 118 before the live rows skipped row g - 1 of a term of gap g;
       1, 251 and 22 before the live rows; 107 and 771 before one-row blocks
       took Pieri's rule and the Euler step stopped building rows).
-    - pieri 94 distinct inputs, 670 hits (470 while the _term_euler memo
+    - pieri 94 distinct inputs, 643 hits (670 before the self-Ext shift
+      sums of the windows tensored only the offset pairs op <= oq and took
+      the rest as duals; 470 while the _term_euler memo
       of (term, level) values answered 1,252 of its 2,057 calls and so
       took no block products for them; 98 and 505 before row g - 1 was
       skipped; 102 and 863 before the live rows).
@@ -264,7 +266,8 @@ def test_verify_all_work_counts():
     - _plus_euler: 2 products, 2 hits, club and diamond (new).
     - Calls at two import sites: the block products of homog take 2
       through gl_tensor (1,147 before Pieri's rule, 9,102 before constant
-      blocks were shifted instead) and 764 through pieri (564 behind the
+      blocks were shifted instead) and 737 through pieri (764 before the
+      self-Ext shift sums took the pairs op <= oq only, 564 behind the
       _term_euler memo, 603 before row g - 1 was skipped, 965 before the
       live rows, 1,039 before club and diamond took the shift sums of
       spade and heart), and verify makes 3
@@ -293,10 +296,10 @@ def test_verify_all_work_counts():
                                       "_plus_euler")] == [[6, 15], [6, 15], [265, 146], [2, 2]]
     assert [counts[name][1] for name in ("_gl_tensor", "_bott", "_slot2_members")] == \
         [1, 97, 22]
-    assert [counts[name] for name in ("pieri", "_weyl_sum")] == [[670, 94], [144, 2]]
+    assert [counts[name] for name in ("pieri", "_weyl_sum")] == [[643, 94], [144, 2]]
     assert counts["maxsize"] == [4096, 16, 256, 256, 1024, 16]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
-            counts["grflop.verify.hl_enumerate"]] == [2, 764, 3]
+            counts["grflop.verify.hl_enumerate"]] == [2, 737, 3]
     assert counts["grflop.stability.kn_adapted"] == 7
     assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [84, 306]
 

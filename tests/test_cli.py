@@ -18,13 +18,13 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import grflop.cli
+import grflop.commands
 import grflop.data
 from grflop.bundleset import parse_bundle, parse_set_file
 from grflop.exceptional import ExceptionalCollection
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
-                        LEVEL_MAX, LR_MAX_BOXES, SUMMANDS_MAX, TABLE_SUMMANDS_MAX,
-                        TWISTS_MAX, WEYL_MAX_M, _resolve_set, _summand_bound, build_parser,
-                        main)
+                        LEVEL_MAX, LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser, main)
+from grflop.commands import SUMMANDS_MAX, TABLE_SUMMANDS_MAX, _resolve_set, _summand_bound
 from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
                           _block_tensor, line_bundle, structure_sheaf)
 from grflop.report import Report, _write
@@ -151,7 +151,7 @@ class TestExitCodes:
         """An m past WEYL_MAX_M is a usage error raised before weyl_dim runs."""
         def never(*args):
             pytest.fail("weyl_dim was called")
-        monkeypatch.setattr(grflop.cli, "weyl_dim", never)
+        monkeypatch.setattr(grflop.commands, "weyl_dim", never)
         with pytest.raises(SystemExit) as err:
             main(["weyl", "dim", "1,0", "100000"])
         assert err.value.code == EXIT_USAGE
@@ -176,7 +176,7 @@ class TestExitCodes:
         per-level computation starts."""
         def never(*args):
             pytest.fail(f"{stubbed} was called")
-        monkeypatch.setattr(grflop.cli, stubbed, never)
+        monkeypatch.setattr(grflop.commands, stubbed, never)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == EXIT_USAGE
@@ -213,7 +213,7 @@ class TestExitCodes:
         def stub(model, left, right, cutoff="auto"):
             calls.append(cutoff)
             return ext_table(model, left, right, 0)
-        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        monkeypatch.setattr(grflop.commands, "ext_table", stub)
         code = main(["ext-total", "--model", "xplus", "--left", "o", "--right", "big",
                      "--sets", str(sets)])
         err = capsys.readouterr().err
@@ -246,7 +246,7 @@ class TestExitCodes:
         def stub(model, left, right, cutoff="auto"):
             calls.append(cutoff)
             return ext_table(model, left, right, 0)
-        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        monkeypatch.setattr(grflop.commands, "ext_table", stub)
         if refused:
             monkeypatch.setattr(BundleSum, "tensor",
                                 lambda *args: pytest.fail("a tensor was built"))
@@ -316,7 +316,7 @@ class TestExitCodes:
         SUMMANDS_MAX: 140,226 and 113,685."""
         sets = tmp_path / "sets.txt"
         sets.write_text(f"[a]\n{left}\n[b]\n{right}\n")
-        monkeypatch.setattr(grflop.cli, "ext_table",
+        monkeypatch.setattr(grflop.commands, "ext_table",
                             lambda *args: pytest.fail("ext_table was called"))
         code = main(["ext-total", "--model", "xplus", "--left", "a", "--right", "b",
                      "--sets", str(sets), "--cutoff", str(LEVEL_MAX)])
@@ -333,7 +333,7 @@ class TestExitCodes:
         def stub(model, left, right, cutoff="auto"):
             calls.append(cutoff)
             return ext_table(model, left, right, 0)
-        monkeypatch.setattr(grflop.cli, "ext_table", stub)
+        monkeypatch.setattr(grflop.commands, "ext_table", stub)
         names = ("o",) + grflop.data.WINDOW_NAMES + ("kapranov",)
         pairs = [("xplus", a, b) for a in names for b in names] + [("xminus", "o", "o")]
         for model, left, right in pairs:
@@ -408,7 +408,7 @@ class TestExitCodes:
             def stub(model, left, right, cutoff="auto"):
                 calls.append(cutoff)
                 return ext_table(model, left, right, 0)
-            monkeypatch.setattr(grflop.cli, "ext_table", stub)
+            monkeypatch.setattr(grflop.commands, "ext_table", stub)
             code = main(["ext-total", "--model", model, "--left", "a", "--right", "b",
                          "--sets", str(sets), "--cutoff", str(cutoff)])
             err = capsys.readouterr().err
@@ -457,7 +457,7 @@ class TestExitCodes:
         before the LR product starts."""
         def never(*args):
             pytest.fail("the LR product was computed")
-        for module, name in ((grflop.cli, "lr_mult"), (grflop.cli, "lr_coefficient"),
+        for module, name in ((grflop.commands, "lr_mult"), (grflop.commands, "lr_coefficient"),
                              (grflop.partitions, "lr_mult")):
             monkeypatch.setattr(module, name, never)
         with pytest.raises(SystemExit) as err:
@@ -481,7 +481,7 @@ class TestExitCodes:
     def test_twists_past_limit_refused_before_computing(self, twists, capsys, monkeypatch):
         """More than TWISTS_MAX twists is a usage error raised before any
         twist is checked."""
-        monkeypatch.setattr(grflop.cli, "check_resolution",
+        monkeypatch.setattr(grflop.commands, "check_resolution",
                             lambda *args: pytest.fail("check_resolution was called"))
         with pytest.raises(SystemExit) as err:
             main(["collections", "resolve", "--name", "lascoux-1", f"--twists={twists}"])
@@ -499,7 +499,7 @@ class TestExitCodes:
         line on stderr, never a traceback or the check-failed code."""
         def broken(*args):
             raise RuntimeError("boom")
-        monkeypatch.setattr(grflop.cli, "weyl_dim", broken)
+        monkeypatch.setattr(grflop.commands, "weyl_dim", broken)
         assert main(["weyl", "dim", "2,1,0", "3"]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"
@@ -621,7 +621,7 @@ class TestCommands:
         """A failing collection prints one line per violation and exits 1."""
         failing = ExceptionalCollection("prop31-1", GR25, (
             line_bundle(GR25, 5), structure_sheaf(GR25).with_mult(2)))
-        monkeypatch.setattr(grflop.cli, "builtin_collection", lambda name: failing)
+        monkeypatch.setattr(grflop.commands, "builtin_collection", lambda name: failing)
         assert main(["collections", "check", "--name", "prop31-1"]) == EXIT_FAIL
         assert capsys.readouterr().out.splitlines() == [
             "collection prop31-1: FAILS (2 objects)",
@@ -845,7 +845,7 @@ class TestReports:
         report = Report("verify-all")
         report.add("written-first", "pass", {"n": 1})
         report.add("broken", "pass", Broken())
-        monkeypatch.setattr(grflop.cli, "verify_all", lambda: report)
+        monkeypatch.setattr(grflop.commands, "verify_all", lambda: report)
         path = tmp_path / "report.json"
         assert main(["verify-all", "--json", str(path) if sink == "file" else "-"]) \
             == EXIT_INTERNAL

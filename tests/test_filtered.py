@@ -233,9 +233,10 @@ class TestLevelEulerMemo:
 
     def test_one_product_per_offset_pair(self, monkeypatch):
         """The pieces of each side are merged by offset before the products
-        are taken: heart's 17 pieces carry the four offsets -1..2, so its
-        self-Ext takes 16 products, not 289, each merged into the table of
-        its shift."""
+        are taken: heart's 17 pieces carry the four offsets -1..2, so Ext
+        between two lists of them takes 16 products, not 289, each merged
+        into the table of its shift.  Its self-Ext (left is right) takes the
+        10 with op <= oq; the other 6 are their duals."""
         minus = minus_window("heart")
         assert len(pieces(minus)) == 17
         assert {o for _, o in pieces(minus)} == {-1, 0, 1, 2}
@@ -243,8 +244,38 @@ class TestLevelEulerMemo:
         tensor_into = filtered._tensor_into
         monkeypatch.setattr(filtered, "_tensor_into",
                             lambda *args: calls.append(1) or tensor_into(*args))
-        _shift_sums(minus, minus)
+        _shift_sums(minus, list(minus))
         assert len(calls) == 16
+        calls.clear()
+        _shift_sums(minus, minus)
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("star", data.WINDOW_NAMES)
+    def test_self_ext_mirrors_the_full_build(self, star, monkeypatch):
+        """For left is right, the shift sums built from the pairs op <= oq
+        and their termwise duals equal the full build over every offset
+        pair, which a copy of the list takes.  The term pairs tensored drop
+        from 225 to 140 for spade and club (five offsets), and from 289 to
+        184 for heart and diamond (four)."""
+        minus = minus_window(star)
+        pairs = []
+        tensor_into = filtered._tensor_into
+        monkeypatch.setattr(filtered, "_tensor_into", lambda merged, terms, others:
+                            pairs.append(len(terms) * len(others))
+                            or tensor_into(merged, terms, others))
+        full = _shift_sums(minus, list(minus))
+        full_pairs = sum(pairs)
+        pairs.clear()
+        assert _shift_sums(minus, minus) == full
+        assert (full_pairs, sum(pairs)) == ((225, 140) if star in ("spade", "club") else (289, 184))
+
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3).map(
+        lambda xs: tuple(sorted(xs, reverse=True))), min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_self_ext_mirrors_random_lists(self, weights):
+        """The same for random lists of schur_filtered bundles."""
+        minus = [schur_filtered(chi) for chi in weights]
+        assert _shift_sums(minus, minus) == _shift_sums(minus, list(minus))
 
     def test_verify_all_builds_shift_sums_once_per_dual_pair(self, monkeypatch):
         """One verify_all() builds the minus shift sums twice, not four

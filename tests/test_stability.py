@@ -347,3 +347,69 @@ class TestRatio:
         assert str(Ratio(6, 2)) == "3"
         with pytest.raises(ValueError):
             Ratio(1, 0)
+
+
+def _s3_orbit(v):
+    """The points of v's orbit under the S3 that permutes coordinates."""
+    return {tuple(v[i] for i in perm) for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
+                                                   (1, 2, 0), (2, 0, 1), (2, 1, 0))}
+
+
+def _eta(lam):
+    """The window width of a one-parameter subgroup: 5 |<lam,u_i>| and
+    1 |<lam,q_i>| over the torus weights with <lam,w> < 0, less |<lam,alpha>|
+    over the roots alpha = e_i - e_j of GL3 with <lam,alpha> < 0."""
+    dot = [sum(a * b for a, b in zip(lam, w)) for w in TORUS_WEIGHTS.values()]
+    mult = [5 if name.startswith("u") else 1 for name in TORUS_WEIGHTS]
+    roots = [lam[i] - lam[j] for i in range(3) for j in range(3) if i != j]
+    return sum(m * -d for m, d in zip(mult, dot) if d < 0) - sum(-r for r in roots if r < 0)
+
+
+class TestGitTablesFromWeights:
+    """The hand-typed GIT tables follow from the 18 torus weights: the
+    Kempf-Ness records are all the strata, and the window forms are their
+    rays with widths eta."""
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_kn_records_are_complete(self, side):
+        """Over all 64 support sets of a side, the destabilizing (value_sq,
+        ray) pairs are, up to S3, exactly the records of data.KN_STRATA,
+        with the absorbed (1/17, (3,-2,-2)) on the minus side."""
+        names = sorted(TORUS_WEIGHTS)
+        found = set()
+        for size in range(len(names) + 1):
+            for supports in combinations(names, size):
+                solution = kn_adapted(ConeProblem(supports, side))
+                if solution.destabilizing:
+                    found.add((solution.value_sq,
+                               tuple(sorted(solution.minimizer, reverse=True))))
+        records = data.KN_STRATA[side] + ((data.KN_ABSORBED_MINUS,) if side == "minus" else ())
+        expected = {(Ratio(*r["value_sq"]), r["weight"]) for r in records}
+        assert found == expected
+        assert len(expected) == (3 if side == "plus" else 4)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_window_forms_come_from_the_strata(self, side):
+        """The forms of each slot are the S3-orbit of one stratum's ray, the
+        slot is the stratum's rank by descending value_sq, and every width
+        is eta of its form."""
+        strata = sorted(data.KN_STRATA[side], key=lambda r: Fraction(*r["value_sq"]),
+                        reverse=True)
+        rows = stability.WINDOW_FORMS[side]
+        for slot, record in enumerate(strata):
+            assert {form for _, s, form, _ in rows if s == slot} == _s3_orbit(record["weight"])
+        assert {s for _, s, _, _ in rows} == {0, 1, 2}
+        for _, _, form, width in rows:
+            assert width == _eta(form)
+        widths = [next(w for _, s, _, w in rows if s == slot) for slot in range(3)]
+        assert widths == ([15, 8, 3] if side == "plus" else [15, 10, 4])
+
+    def test_absorbed_ray_gives_no_form(self):
+        """The absorbed (3,-2,-2) stratum adds no window family: no form of
+        either side lies in its S3-orbit.  eta is S3-invariant, so the width
+        of a slot does not depend on which orbit point the form is."""
+        orbit = _s3_orbit(data.KN_ABSORBED_MINUS["weight"])
+        assert not orbit & {form for rows in stability.WINDOW_FORMS.values()
+                            for _, _, form, _ in rows}
+        for record in data.KN_STRATA["plus"] + data.KN_STRATA["minus"]:
+            assert {_eta(v) for v in _s3_orbit(record["weight"])} == {_eta(record["weight"])}
