@@ -4,15 +4,15 @@ Grassmannian flop."""
 
 __version__ = "0.1.0"
 
-from .homog import (BundleSum, Cohomology, FlagVariety, GR25, GR35, FL235,
-                    HomogeneousBundle, line_bundle, schur_sub_dual,
+from .flags import Cohomology, FlagVariety, GR25, GR35, FL235
+from .homog import (BundleSum, HomogeneousBundle, line_bundle, schur_sub_dual,
                     structure_sheaf)
 from .partitions import gl_tensor, lr_coefficient, lr_mult, weyl_dim
 from .total_space import (XMINUS, XPLUS, TotalSpaceModel, ext_table,
                           is_pretilting, stable_cutoff)
 from .filtered import FilteredBundle, graded_euler, schur_filtered, vanishing_suite
-from .stability import (ConeProblem, KNSolution, hl_enumerate, hl_membership,
-                        kn_adapted, kn_stratification)
+from .kempf_ness import ConeProblem, KNSolution, kn_adapted, kn_stratification
+from .stability import hl_enumerate, hl_membership
 from .exceptional import (ExceptionalCollection, ResolutionSequence,
                           builtin_collection, builtin_resolution,
                           check_collection, check_resolution)

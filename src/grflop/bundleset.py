@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 
-from .homog import BundleSum, FlagVariety, HomogeneousBundle
+from .flags import FlagVariety
+from .homog import BundleSum, HomogeneousBundle
 
 _SPACE_RE = re.compile(r"^(gr|fl)\(([0-9,;]+)\)$")
 _FIELD_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)=(\[[-0-9,]*\]|[0-9]+)$")

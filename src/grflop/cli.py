@@ -23,7 +23,7 @@ from .commands import (LEVEL_MAX, WEYL_MAX_M, _cmd_bwb, _cmd_collections_check,
                        _cmd_kn_strata, _cmd_lr_coeff, _cmd_lr_mult, _cmd_suite, _cmd_tilting,
                        _cmd_verify_all, _cmd_weyl, _cmd_windows_enumerate,
                        _cmd_windows_member)
-from .stability import CHARACTERS, TORUS_WEIGHTS
+from .kempf_ness import CHARACTERS, TORUS_WEIGHTS
 from .total_space import MODELS
 
 EXIT_OK = 0

@@ -8,7 +8,8 @@ is the middle exterior power and (1,-1,-1) the twisted symmetric square.
 
 from __future__ import annotations
 
-from .homog import BundleSum, GR25, GR35, HomogeneousBundle, schur_sub_dual
+from .flags import GR25, GR35
+from .homog import BundleSum, HomogeneousBundle, schur_sub_dual
 
 # Generating weight sets of the four windows.  Both sides of the flop realize
 # each weight as a Schur functor: of the dual tautological subbundle on the
@@ -116,7 +117,7 @@ HL_EXPECTED = {
 
 
 # Group-level Kempf-Ness strata.  Supports name the torus weights that stay
-# active on the stratum; stability.kn_stratification checks every record
+# active on the stratum; kempf_ness.kn_stratification checks every record
 # against the exact solver.
 KN_STRATA = {
     "plus": (

@@ -6,8 +6,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import data
-from .homog import (BundleSum, FlagVariety, GR35, HomogeneousBundle, _block_tensor,
-                    _dual_blocks, bott, schur_sub_dual)
+from .flags import FlagVariety, GR35, bott
+from .homog import (BundleSum, HomogeneousBundle, _block_tensor, _dual_blocks,
+                    schur_sub_dual)
 from .value import Value
 
 

@@ -23,8 +23,9 @@ from typing import Iterable, Sequence
 
 from . import data
 from .exceptional import ext_groups
-from .homog import (BundleSum, GR25, GR35, HomogeneousBundle, _dual_blocks, _tensor_into,
-                    line_bundle, schur_sub_dual, structure_sheaf)
+from .flags import GR25, GR35
+from .homog import (BundleSum, HomogeneousBundle, _dual_blocks, _tensor_into, line_bundle,
+                    schur_sub_dual, structure_sheaf)
 from .partitions import as_weight
 from .total_space import XMINUS, XPLUS, _euler, _higher_ext, _product, euler_sum
 from .value import Value

@@ -13,8 +13,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
-from .homog import (BundleSum, FlagVariety, GR25, GR35, HomogeneousBundle, _block_product,
-                    _tensor_into, as_sum, bott, degree_totals)
+from .flags import FlagVariety, GR25, GR35, bott
+from .homog import (BundleSum, HomogeneousBundle, _block_product, _tensor_into, as_sum,
+                    degree_totals)
 from .value import Value
 
 

@@ -15,9 +15,11 @@ from . import data
 from .exceptional import (ExceptionalCollection, builtin_collection,
                           builtin_resolution, check_collection, check_resolution)
 from .filtered import euler_cross_check, vanishing_suite
-from .homog import GR25, line_bundle, structure_sheaf
+from .flags import GR25
+from .homog import line_bundle, structure_sheaf
+from .kempf_ness import _stratum, kn_stratification
 from .report import Report
-from .stability import _stratum, hl_enumerate, hl_max_size, kn_stratification
+from .stability import hl_enumerate, hl_max_size
 from .total_space import XPLUS, is_pretilting
 
 

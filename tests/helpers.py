@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import grflop.cli
 from grflop.filtered import FilteredBundle
-from grflop.homog import (GR25, BundleSum, HomogeneousBundle, degree_totals,
-                          line_bundle, schur_sub_dual)
-from grflop.stability import KNSolution
+from grflop.flags import GR25
+from grflop.homog import (BundleSum, HomogeneousBundle, degree_totals, line_bundle,
+                          schur_sub_dual)
+from grflop.kempf_ness import KNSolution
 
 
 def shift(w, t):

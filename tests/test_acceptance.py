@@ -20,11 +20,12 @@ from grflop.exceptional import (ExceptionalCollection, builtin_collection,
                                 builtin_resolution, check_collection,
                                 check_resolution, ext_groups)
 from grflop.filtered import euler_cross_check, vanishing_suite
-from grflop.homog import (GR25, GR35, HomogeneousBundle, line_bundle,
-                          structure_sheaf)
+from grflop.flags import GR25, GR35
+from grflop.homog import HomogeneousBundle, line_bundle, structure_sheaf
 from grflop.partitions import lr_mult
 from grflop.report import Report
-from grflop.stability import ConeProblem, hl_enumerate, kn_adapted
+from grflop.kempf_ness import ConeProblem, kn_adapted
+from grflop.stability import hl_enumerate
 from grflop.total_space import XPLUS, is_pretilting, stable_cutoff
 from helpers import exact
 
@@ -205,7 +206,8 @@ class TestCriterion9PropertySuites:
 
 _WORK_COUNTS = """
 import json
-from grflop import exceptional, filtered, homog, partitions, stability, total_space, verify
+from grflop import (exceptional, filtered, flags, homog, kempf_ness, partitions, stability,
+                    total_space, verify)
 calls = {}
 
 def counted(owner, name):
@@ -221,10 +223,10 @@ counted(homog, "pieri")
 counted(homog, "bott")
 counted(homog.HomogeneousBundle, "__init__")
 counted(verify, "hl_enumerate")
-counted(stability, "kn_adapted")
+counted(kempf_ness, "kn_adapted")
 verify.verify_all()
 memos = (partitions._gl_tensor,
-         homog._bott, stability._slot2_members, partitions.pieri,
+         flags._bott, stability._slot2_members, partitions.pieri,
          total_space._weyl_sum, total_space._dual_tensor, total_space._higher_ext,
          exceptional._ext_groups, filtered._plus_euler)
 counts = {f.__name__: [f.cache_info().hits, f.cache_info().misses] for f in memos}
@@ -282,7 +284,7 @@ def test_verify_all_work_counts():
       sums of spade and heart; 555 before term(l) built through _trusted
       and euler_cross_check built each plus window once; 1,132 before dual()
       built through _trusted).
-    - stability.kn_adapted is called 7 times, once per curated Kempf-Ness
+    - kempf_ness.kn_adapted is called 7 times, once per curated Kempf-Ness
       record: six strata and the absorbed one (13 if each stratum were
       solved again to judge it).
     """
@@ -300,7 +302,7 @@ def test_verify_all_work_counts():
     assert counts["maxsize"] == [4096, 16, 256, 256, 1024, 16]
     assert [counts["grflop.homog.gl_tensor"], counts["grflop.homog.pieri"],
             counts["grflop.verify.hl_enumerate"]] == [2, 737, 3]
-    assert counts["grflop.stability.kn_adapted"] == 7
+    assert counts["grflop.kempf_ness.kn_adapted"] == 7
     assert [counts["grflop.homog.bott"], counts["HomogeneousBundle.__init__"]] == [84, 306]
 
 

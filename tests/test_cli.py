@@ -25,10 +25,11 @@ from grflop.exceptional import ExceptionalCollection
 from grflop.cli import (EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
                         LEVEL_MAX, LR_MAX_BOXES, TWISTS_MAX, WEYL_MAX_M, build_parser, main)
 from grflop.commands import SUMMANDS_MAX, TABLE_SUMMANDS_MAX, _resolve_set, _summand_bound
-from grflop.homog import (FL235, GR25, GR35, BundleSum, Cohomology, HomogeneousBundle,
-                          _block_tensor, line_bundle, structure_sheaf)
+from grflop.flags import FL235, GR25, GR35, Cohomology
+from grflop.homog import (BundleSum, HomogeneousBundle, _block_tensor, line_bundle,
+                          structure_sheaf)
 from grflop.report import Report, _write
-from grflop.stability import ConeProblem, Ratio, kn_adapted
+from grflop.kempf_ness import ConeProblem, Ratio, kn_adapted
 from grflop.total_space import MODELS, XPLUS, ExtTable, _product, ext_table, stable_cutoff
 from grflop.verify import verify_all
 from helpers import command_argvs, encode_value, serialize_set_file

@@ -7,8 +7,8 @@ from grflop import data, exceptional
 from grflop.exceptional import (ExceptionalCollection, Violation, builtin_collection,
                                 builtin_resolution, check_collection,
                                 check_resolution, ext_groups)
-from grflop.homog import (FL235, GR25, GR35, HomogeneousBundle, degree_totals,
-                          line_bundle, structure_sheaf)
+from grflop.flags import FL235, GR25, GR35
+from grflop.homog import HomogeneousBundle, degree_totals, line_bundle, structure_sheaf
 
 
 def _bundle(space):

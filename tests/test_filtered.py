@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from grflop import filtered
 from grflop.filtered import (FilteredBundle, _shift_sums, euler_cross_check,
                              graded_euler, schur_filtered, vanishing_suite)
-from grflop.homog import GR25, GR35, BundleSum, schur_sub_dual, structure_sheaf
+from grflop.flags import GR25, GR35
+from grflop.homog import BundleSum, schur_sub_dual, structure_sheaf
 from grflop.partitions import weyl_dim
 from grflop.total_space import XMINUS, XPLUS, _product, euler_sum, ext_table, is_pretilting
 from grflop.verify import verify_all

@@ -1,6 +1,7 @@
 """Bundle algebra and Bott cohomology tests."""
 
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grflop import data
-import grflop.homog
-from grflop.homog import (FL235, GR25, GR35, BundleSum, FlagVariety,
-                          HomogeneousBundle, as_sum, bott, line_bundle,
+import grflop.flags
+from grflop.flags import FL235, GR25, GR35, FlagVariety, _bott, bott
+from grflop.homog import (BundleSum, HomogeneousBundle, as_sum, line_bundle,
                           schur_sub_dual, structure_sheaf)
-from grflop.homog import _block_bound, _block_tensor, _bott
+from grflop.homog import _block_bound, _block_tensor
 from grflop.partitions import _gl_tensor, gl_tensor, pieri, weyl_dim
 from grflop.total_space import XMINUS, XPLUS
 from grflop.value import Value
@@ -307,7 +308,7 @@ class TestBott:
         prod_{i<j} (a_i - a_j) / (j - i) at a = weight + rho, an alternating
         polynomial that needs no sorting or inversion count.  The Bott memo
         is bypassed, so no other test sees these weights in it."""
-        monkeypatch.setattr(grflop.homog, "_bott", _bott.__wrapped__)
+        monkeypatch.setattr(grflop.flags, "_bott", _bott.__wrapped__)
         n = space.n
         pairs = list(combinations(range(n), 2))
         blocks = [combinations_with_replacement(range(3, -4, -1), s)
@@ -321,6 +322,32 @@ class TestBott:
             assert got == expected
             signs.add((got > 0) - (got < 0))
         assert signs == {-1, 0, 1}
+
+    def test_grassmannian_duality(self, monkeypatch):
+        """V -> V^dual takes Gr(3,5) to Gr(2,5), U_3^dual to the quotient Q_2
+        and Q_3^dual to U_2, so the bundle (alpha | beta) on Gr(3,5) is
+        (-beta reversed | -alpha reversed) on Gr(2,5).  On 3,000 seeded
+        random pairs of dominant blocks with entries in [-4, 4], bott gives
+        both the same degree and dimension.  Both sides run Bott, so this
+        checks the two bases' block conventions against each other, not Bott
+        itself.  The Bott memo is bypassed, as above."""
+        monkeypatch.setattr(grflop.flags, "_bott", _bott.__wrapped__)
+        rng = random.Random(35)
+
+        def block(length):
+            return tuple(sorted((rng.randint(-4, 4) for _ in range(length)), reverse=True))
+
+        def dual(b):
+            return tuple(-x for x in reversed(b))
+
+        degrees = set()
+        for _ in range(3000):
+            alpha, beta = block(3), block(2)
+            plus = bott(GR35, alpha + beta)
+            minus = bott(GR25, dual(beta) + dual(alpha))
+            assert (plus.degree, plus.dim) == (minus.degree, minus.dim), (alpha, beta)
+            degrees.add(plus.degree)
+        assert degrees == {None, 0, 1, 2, 3, 4, 5, 6}
 
     def test_wrong_length_raises_on_every_call(self):
         for _ in range(2):

@@ -15,7 +15,7 @@ PACKAGE = Path(grflop.__file__).resolve().parent
 
 # "module:qualname" -> why no command reaches it.
 ALLOWED = {
-    "homog:Cohomology.__repr__": "a debugging aid: no command prints a repr",
+    "flags:Cohomology.__repr__": "a debugging aid: no command prints a repr",
     "homog:HomogeneousBundle.__repr__": "a debugging aid: no command prints a repr",
     "homog:HomogeneousBundle.dual": "the bundle-object reference of the tests (Serre "
                                     "duality, ext_groups' oracle); ext_groups and the "

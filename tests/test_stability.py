@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from grflop import data, stability
 from grflop.report import _write
-from grflop.stability import (CHARACTERS, TORUS_WEIGHTS, ConeProblem,
-                              KNSolution, Ratio, hl_enumerate, hl_max_size,
-                              hl_membership, kn_adapted, kn_stratification)
-from grflop.stability import _candidates, _in_window, _kn_solve, _slot2_members, _window
+from grflop.kempf_ness import (CHARACTERS, TORUS_WEIGHTS, ConeProblem, KNSolution, Ratio,
+                               _kn_solve, kn_adapted, kn_stratification)
+from grflop.stability import hl_enumerate, hl_max_size, hl_membership
+from grflop.stability import _candidates, _in_window, _slot2_members, _window
 from helpers import exact, kn_exact, kn_reference
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grflop import data, filtered, total_space
-from grflop.homog import (GR25, GR35, BundleSum, FlagVariety, HomogeneousBundle,
-                          line_bundle, schur_sub_dual, structure_sheaf)
+from grflop.flags import GR25, GR35, FlagVariety
+from grflop.homog import (BundleSum, HomogeneousBundle, line_bundle, schur_sub_dual,
+                          structure_sheaf)
 from grflop.total_space import (MODELS, XMINUS, XPLUS, TotalSpaceModel, euler_sum,
                                 ext_table, is_pretilting, stable_cutoff)
 from grflop.verify import verify_all
